@@ -4,14 +4,27 @@
 //! array write; this test registers the counting allocator and holds the
 //! harness to 0.00 heap allocations per message on the 4 KB stream.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use shrimp_bench::alloc_count::{self, CountingAlloc};
 use shrimp_bench::host_perf;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// The allocation counter is process-global, so a test measuring its
+/// window would also count whatever the harness's other test threads
+/// allocate meanwhile. Every test here holds this lock for its whole
+/// body; a panicking test poisons it, which must not fail the others.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serialized() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn four_kb_stream_is_allocation_free_with_and_without_tracing() {
+    let _serial = serialized();
     assert!(alloc_count::is_active(), "counting allocator not registered");
 
     let plain = host_perf::stream_pairs(8, 4096, 2_000, 0);
@@ -34,6 +47,7 @@ fn four_kb_stream_is_allocation_free_with_and_without_tracing() {
 
 #[test]
 fn metered_stream_is_allocation_free_with_metrics_updating() {
+    let _serial = serialized();
     assert!(alloc_count::is_active(), "counting allocator not registered");
 
     // The metrics plane's hot-path updates are plain indexed stores on
@@ -64,6 +78,7 @@ fn metered_stream_is_allocation_free_with_metrics_updating() {
 
 #[test]
 fn parallel_stream_amortizes_to_zero_allocs_per_message() {
+    let _serial = serialized();
     assert!(alloc_count::is_active(), "counting allocator not registered");
 
     // The epoch loop itself is allocation-free; what remains is one-time
@@ -85,6 +100,7 @@ fn parallel_stream_amortizes_to_zero_allocs_per_message() {
 
 #[test]
 fn big_mesh_parallel_stream_amortizes_to_zero_allocs_per_message() {
+    let _serial = serialized();
     assert!(alloc_count::is_active(), "counting allocator not registered");
 
     // A 256-node mesh multiplies the one-time per-run scratch (per-node

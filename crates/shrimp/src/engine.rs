@@ -1,45 +1,203 @@
-//! The delivery core: the **single** implementation of SHRIMP's receive
-//! path.
+//! The engine: the **single** implementation of each half of SHRIMP's
+//! fast path.
 //!
-//! The paper's fast path is one hardware story — proxy reference →
-//! packetize → wire → receive-side EISA DMA → status word — and this
-//! module is where the receive half of that story lives, exactly once.
-//! Both engine instantiations drain the same code:
+//! The paper's fast path is one hardware story — proxy STORE, proxy
+//! LOAD, DMA, packetize → wire → receive-side EISA DMA → status word —
+//! and this module is where both halves of that story live, exactly
+//! once:
 //!
-//! - the serial driver ([`Multicomputer::propagate`]) runs one
-//!   [`DeliveryCore`] over one machine-wide
-//!   [`FabricShard`](shrimp_net::FabricShard) with an unbounded horizon,
-//! - the parallel engine ([`Multicomputer::run`]) runs one core per shard
-//!   over that shard's fabric slice, bounded by the epoch horizon.
+//! - [`Executor`] is the sender half: the literal `udma_send`, the NIC
+//!   drain, the two-send calibration against [`steady_stride`], the
+//!   replay of the steady-state tail, and the fabric injection of every
+//!   packet and run;
+//! - [`DeliveryCore`] is the receiver half: it drains a
+//!   [`FabricShard`] in `(link_ready, id)` order and applies each
+//!   delivery.
+//!
+//! Both entry points run this code. The serial driver
+//! ([`Multicomputer::send_burst`] and friends) runs one executor and one
+//! core over one machine-wide [`FabricShard`]; the sharded engine
+//! ([`Multicomputer::run`]) runs one of each per shard. The two differ
+//! only in their [`TrainHost`]: where staged entries go and when they
+//! commit. The serial host stages straight into the machine-wide fabric
+//! and commits everything after every literal send; a shard stages into
+//! per-destination-shard batches and commits at epoch boundaries. The
+//! timelines therefore agree whenever no node receives during its own
+//! send sequence — a 2-node exchange where both nodes stream at each
+//! other is the counter-example (serially, each train sees the other's
+//! deliveries only after it finishes).
 //!
 //! A [`Lane`] is a node plus the receive-side state ([`RxState`]) that
 //! must live wherever deliveries to that node are applied; [`LaneMap`]
 //! abstracts how an engine finds the lane for a global node index
 //! (identity for the serial driver, round-robin for a shard).
 //!
-//! [`Multicomputer::propagate`]: crate::Multicomputer::propagate
+//! [`Multicomputer::send_burst`]: crate::Multicomputer::send_burst
 //! [`Multicomputer::run`]: crate::Multicomputer::run
 
-use shrimp_net::{Commit, FabricShard, Packet, PacketRun};
+use shrimp_net::{Commit, FabricShard, Packet, PacketClass, PacketRun, Staged};
+use shrimp_os::{Trap, UdmaXferResult};
 use shrimp_sim::{CostModel, FlightRecorder, SimDuration, SimTime, SpanRecord};
 
 use crate::program::DeliveryEvent;
-use crate::ShrimpNode;
+use crate::{OutgoingPacket, OutgoingRun, SendOp, ShrimpNode};
 
 /// The model's steady-state per-message clock stride for a warm
 /// single-chunk send of `nbytes`: per-message library software, the user
 /// check, the initiation STORE, the initiating and final status LOADs
 /// (the mid-transfer busy LOAD is absorbed by the wait for DMA
 /// completion), DMA start, and the bus burst. A measured message pair
-/// whose stride equals this is in the replayable steady state — both
-/// engine instantiations calibrate bursts against it.
-pub(crate) fn steady_stride(cost: &CostModel, nbytes: u64) -> SimDuration {
+/// whose stride equals this is in the replayable steady state —
+/// [`Executor::train`] calibrates against it.
+fn steady_stride(cost: &CostModel, nbytes: u64) -> SimDuration {
     cost.udma_per_message_sw
         + cost.udma_user_check
         + cost.proxy_store
         + cost.proxy_load * 2
         + cost.dma_start
         + cost.bus_transfer(nbytes)
+}
+
+/// What an entry point supplies to [`Executor::train`]: the sending node,
+/// and what happens to the packets each send leaves in NICs.
+pub(crate) trait TrainHost {
+    /// The node the train runs on.
+    fn sender(&mut self) -> &mut ShrimpNode;
+
+    /// Called after every literal send and after a replay: drains the
+    /// built packets through [`Executor::drain`] (stamping `class`) and
+    /// puts the staged entries wherever this entry point stages them —
+    /// committing them too, if it commits per send.
+    fn flush(&mut self, tx: &mut Executor, class: PacketClass);
+}
+
+/// The sender half of the engine: **the** send → calibrate → replay →
+/// stage sequence, plus the scratch it drains NICs into. One per
+/// execution context (the machine when serial, each shard when sharded).
+#[derive(Debug)]
+pub(crate) struct Executor {
+    /// NIC drain target, reused across sends.
+    outbox: Vec<OutgoingPacket>,
+    /// NIC burst-descriptor drain target, reused across replays.
+    run_outbox: Vec<OutgoingRun>,
+    /// Whether steady-state trains may replay as runs (see
+    /// [`Multicomputer::set_burst`](crate::Multicomputer::set_burst)).
+    pub burst: bool,
+    /// Messages sent, literal and replayed.
+    pub messages: u64,
+    /// Packets injected (a run counts every member).
+    pub packets: u64,
+}
+
+impl Executor {
+    pub fn new(burst: bool) -> Self {
+        Executor {
+            outbox: Vec::new(),
+            run_outbox: Vec::with_capacity(8),
+            burst,
+            messages: 0,
+            packets: 0,
+        }
+    }
+
+    /// Sends `op` `count` times back to back from `host`'s sender — the
+    /// §7 message train. While at least three messages remain (and
+    /// batching is on), two literal sends calibrate the train: if both
+    /// complete in one transfer with no retries and their clock stride
+    /// matches [`steady_stride`], the rest *replay* — the machine books
+    /// their counters and events wholesale and the NIC builds one
+    /// gather descriptor the fabric stages as one run. Otherwise the
+    /// train goes on from there, recalibrating while it can. The
+    /// timeline is identical either way.
+    ///
+    /// Returns the last literal send's result (replayed members are
+    /// replicas of it), or the first kernel trap, which ends the train.
+    // lint:hot_path
+    pub fn train(
+        &mut self,
+        host: &mut impl TrainHost,
+        op: &SendOp,
+        count: u64,
+    ) -> Result<UdmaXferResult, Trap> {
+        let mut last = UdmaXferResult::default();
+        let mut left = count;
+        while left > 0 {
+            if !self.burst || left < 3 {
+                last = self.literal(host, op)?;
+                left -= 1;
+                continue;
+            }
+            let r0 = self.literal(host, op)?;
+            let e0 = host.sender().os().machine().now();
+            last = self.literal(host, op)?;
+            left -= 2;
+            let machine = host.sender().os_mut().machine_mut();
+            let stride = machine.now().saturating_duration_since(e0);
+            let eligible = r0.transfers == 1
+                && r0.retries == 0
+                && last == r0
+                && stride == steady_stride(machine.cost(), op.nbytes)
+                && stride.as_nanos() <= u64::from(u32::MAX);
+            if eligible && machine.udma_replay_messages(left, stride) {
+                self.messages += left;
+                host.flush(self, op.class);
+                return Ok(last);
+            }
+        }
+        Ok(last)
+    }
+
+    /// One literal send — the proxy STORE/LOAD initiation and the DMA
+    /// into the NIC — then the host flushes what it built.
+    fn literal(&mut self, host: &mut impl TrainHost, op: &SendOp) -> Result<UdmaXferResult, Trap> {
+        // The sender's kernel (initiation retries, the page-fault handlers
+        // below it) is not the delivery path: a bad user argument returns
+        // a `Trap` that ends only this train.
+        // lint:allow(P1) -- kernel `expect`s guard its own bookkeeping,
+        // which the I1–I4 property suite (prop_invariants.rs) exercises.
+        let result = host.sender().os_mut().udma_send(
+            op.pid,
+            op.src_va,
+            op.dev_page,
+            op.dev_off,
+            op.nbytes,
+        )?;
+        self.messages += 1;
+        host.flush(self, op.class);
+        Ok(result)
+    }
+
+    /// Drains `node`'s NIC — built packets, then replayed runs — into
+    /// `fabric`: stamps each with `class`, injects it (routing latency
+    /// only), and hands `(link_ready, merge tag, entry)` to `sink`, which
+    /// stages it. Allocation-free once warm: the outboxes keep their
+    /// capacity across drains.
+    pub fn drain(
+        &mut self,
+        node: &mut ShrimpNode,
+        tracing: bool,
+        class: PacketClass,
+        fabric: &mut FabricShard,
+        mut sink: impl FnMut(&mut FabricShard, SimTime, u64, Staged),
+    ) {
+        node.drain_nic(tracing, &mut self.outbox);
+        for out in self.outbox.drain(..) {
+            let mut packet = out.packet;
+            packet.class = class;
+            let link_ready = fabric.inject(&mut packet, out.ready_at);
+            self.packets += 1;
+            sink(fabric, link_ready, packet.merge_tag(), Staged::One(packet));
+        }
+        node.drain_nic_runs(&mut self.run_outbox);
+        for out in self.run_outbox.drain(..) {
+            let mut run =
+                PacketRun { template: out.packet, count: out.count, stride_ns: out.stride_ns };
+            run.template.class = class;
+            let link_ready = fabric.inject_run(&mut run, out.ready_at);
+            self.packets += u64::from(run.count);
+            sink(fabric, link_ready, run.template.merge_tag(), Staged::Run(run));
+        }
+    }
 }
 
 /// Receive-side per-node state: it must be owned by whichever engine

@@ -6,15 +6,14 @@ use std::fmt;
 
 use shrimp_machine::MachineConfig;
 use shrimp_mem::{PhysAddr, VirtAddr, PAGE_SIZE};
-use shrimp_net::{Interconnect, LinkParams, NodeId, PacketRun};
+use shrimp_net::{FabricShard, Interconnect, LinkParams, NodeId, PacketClass};
 use shrimp_os::{NodeConfig, Pid, Trap, UdmaXferResult};
 use shrimp_sim::{
-    FlightRecorder, MetricId, MetricSet, SampleRing, SimDuration, SimTime, SpanRecord, Stage,
-    StatSet, XferId, STAGE_COUNT,
+    FlightRecorder, MetricId, MetricSet, SimTime, SpanRecord, Stage, StatSet, XferId, STAGE_COUNT,
 };
 
-use crate::engine::{DeliveryCore, Lane};
-use crate::{Nic, Nipt, ShrimpNode};
+use crate::engine::{DeliveryCore, Executor, Lane, TrainHost};
+use crate::{Nic, Nipt, SendOp, ShrimpNode};
 
 /// Configuration shared by every node of the multicomputer.
 #[derive(Clone, Debug)]
@@ -223,10 +222,14 @@ pub fn trace_bin_to_json(bytes: &[u8]) -> Option<String> {
 /// receiving node's clock to the delivery completion if that node was idle
 /// earlier than it (a node busy past that instant is unaffected).
 ///
-/// Delivery itself lives in one place — the crate-internal `DeliveryCore`
-/// (`engine.rs`) — which this serial driver runs over the whole machine
-/// and [`Multicomputer::run`] runs once per shard. The serial driver *is*
-/// the one-shard instantiation of the parallel engine.
+/// Both halves of the fast path live in one place each (`engine.rs`):
+/// the sender-side `Executor` (send → calibrate → replay → stage) and the
+/// receiver-side `DeliveryCore`. The serial driver ([`Multicomputer::send`],
+/// [`Multicomputer::send_burst`], [`Multicomputer::propagate`]) runs one
+/// of each over the whole machine; [`Multicomputer::run`] runs one of
+/// each per shard. The entry points differ only in where staged entries
+/// go and when they commit: serially, every literal send is followed by
+/// draining every NIC and committing everything in flight.
 #[derive(Debug)]
 pub struct Multicomputer {
     /// Every node with its receive-side state (`engine::Lane`).
@@ -234,17 +237,10 @@ pub struct Multicomputer {
     pub(crate) fabric: Interconnect,
     /// The single receive-side delivery implementation, serial instance.
     pub(crate) core: DeliveryCore,
-    /// Persistent scratch for the inject loop: NICs drain into it so the
-    /// steady state reuses one allocation instead of taking each queue.
-    outbox: Vec<crate::OutgoingPacket>,
-    /// Persistent scratch for burst descriptors (the run analogue of
-    /// `outbox`; a handful per propagate at most).
-    run_outbox: Vec<crate::OutgoingRun>,
-    /// Whether [`Multicomputer::send_burst`] may fold steady-state message
-    /// trains into replayed runs (`true` by default). Disable to force the
-    /// literal packet-at-a-time path — the digest-equality tests compare
-    /// both modes.
-    burst: bool,
+    /// The single sender-side implementation, serial instance. Its
+    /// `burst` flag is the machine's [`Multicomputer::set_burst`] setting,
+    /// copied into every shard by [`Multicomputer::run`].
+    tx: Executor,
     /// Forced windows-per-barrier count for parallel runs (`None` =
     /// adaptive from plan depth; see [`Multicomputer::set_epoch_windows`]).
     pub(crate) epoch_windows: Option<usize>,
@@ -253,12 +249,6 @@ pub struct Multicomputer {
     pub(crate) phase_clock: Option<fn() -> u64>,
     /// Merged epoch-phase breakdown of the most recent parallel run.
     pub(crate) phases: crate::parallel::PhaseBreakdown,
-    /// Ring capacity for per-epoch staged-depth sampling (`None` = off;
-    /// see [`Multicomputer::set_epoch_sampling`]).
-    pub(crate) epoch_sample_capacity: Option<usize>,
-    /// Per-shard staged-depth timeseries from the most recent parallel
-    /// run, in shard order (empty when sampling is off).
-    pub(crate) epoch_samples: Vec<SampleRing>,
     /// Epoch count of the most recent parallel run.
     pub(crate) last_epochs: u64,
 }
@@ -284,14 +274,10 @@ impl Multicomputer {
                 config.passive_receivers,
                 FlightRecorder::new(Self::TRACE_SPANS),
             ),
-            outbox: Vec::new(),
-            run_outbox: Vec::with_capacity(8),
-            burst: true,
+            tx: Executor::new(true),
             epoch_windows: None,
             phase_clock: None,
             phases: crate::parallel::PhaseBreakdown::default(),
-            epoch_sample_capacity: None,
-            epoch_samples: Vec::new(),
             last_epochs: 0,
         }
     }
@@ -797,12 +783,12 @@ impl Multicomputer {
     /// path; the timeline (and `state_digest`, and exported traces) must
     /// be identical either way.
     pub fn set_burst(&mut self, enabled: bool) {
-        self.burst = enabled;
+        self.tx.burst = enabled;
     }
 
     /// Whether run batching is enabled.
     pub fn burst(&self) -> bool {
-        self.burst
+        self.tx.burst
     }
 
     /// Forces the windows-per-barrier count for [`Multicomputer::run`]
@@ -836,50 +822,33 @@ impl Multicomputer {
         &self.phases
     }
 
-    /// Enables per-epoch gauge sampling for [`Multicomputer::run`]: each
-    /// shard records its staged-queue depth once per epoch into a fixed
-    /// ring of `capacity` samples (the newest epochs win when a run
-    /// outlasts the ring). `None` turns sampling off. Pure observation —
-    /// the simulated timeline is unchanged.
-    pub fn set_epoch_sampling(&mut self, capacity: Option<usize>) {
-        self.epoch_sample_capacity = capacity;
-    }
-
-    /// Per-shard staged-depth timeseries of the most recent
-    /// [`Multicomputer::run`], in shard order. Empty unless
-    /// [`Multicomputer::set_epoch_sampling`] enabled sampling.
-    pub fn epoch_samples(&self) -> &[SampleRing] {
-        &self.epoch_samples
-    }
-
-    /// The model's steady-state per-message clock stride for a warm
-    /// single-chunk send of `nbytes` on node `i` (see
-    /// `engine::steady_stride`).
-    fn steady_stride(&self, i: usize, nbytes: u64) -> SimDuration {
-        crate::engine::steady_stride(self.lanes[i].node.os().machine().cost(), nbytes)
-    }
-
     /// Sends the same message `count` times back to back — the §7 message
     /// train — batching the steady-state tail into one replayed *run*.
     ///
-    /// The first two messages always run the literal per-message machinery
-    /// and calibrate the train: if both complete in one transfer with no
-    /// retries and their clock stride matches the model's steady-state
-    /// stride, the remaining `count - 2` messages are *replayed* — the
-    /// machine books their counters and events wholesale, the NIC builds
-    /// one §7-style gather descriptor (`OutgoingRun`) minting consecutive
-    /// transfer IDs, and the fabric stages the whole run as one entry.
-    /// Any ineligible train (cold TLB, multi-chunk, retries, burst
-    /// disabled) falls back to the literal loop. Either way the timeline
-    /// is identical — `state_digest` and exported traces cannot tell the
-    /// paths apart.
+    /// The train runs through the engine's shared sender executor (the
+    /// same code a shard of [`Multicomputer::run`] executes): two literal
+    /// messages calibrate it, and if both complete in one transfer with
+    /// no retries at the model's steady-state stride, the rest are
+    /// *replayed* — the machine books their counters and events
+    /// wholesale, the NIC builds one §7-style gather descriptor
+    /// (`OutgoingRun`) minting consecutive transfer IDs, and the fabric
+    /// stages the whole run as one entry. An ineligible pair (cold TLB,
+    /// multi-chunk, retries) sends on literally, recalibrating while at
+    /// least three messages remain; with batching disabled every member
+    /// is literal. Either way the timeline is identical — `state_digest`
+    /// and exported traces cannot tell the paths apart.
     ///
-    /// Returns the last calibrated message's result (steady-state members
-    /// are replicas of it).
+    /// Serially, every literal send (and the replay) is followed by
+    /// [`Multicomputer::propagate`]: every NIC drains and everything in
+    /// flight commits before the next message starts.
+    ///
+    /// Returns the last literal message's result (replayed members are
+    /// replicas of it).
     ///
     /// # Errors
     ///
     /// Node bounds or kernel traps, as [`Multicomputer::send`].
+    // lint:hot_path
     #[allow(clippy::too_many_arguments)]
     pub fn send_burst(
         &mut self,
@@ -892,44 +861,19 @@ impl Multicomputer {
         count: u64,
     ) -> Result<UdmaXferResult, ShrimpError> {
         self.check_node(i)?;
-        if count == 0 {
-            return Ok(UdmaXferResult::default());
-        }
-        if !self.burst || count < 3 {
-            let mut last = UdmaXferResult::default();
-            for _ in 0..count {
-                last = self.send(i, pid, src_va, dev_page, dev_off, nbytes)?;
-            }
-            return Ok(last);
-        }
-        let r0 = self.send(i, pid, src_va, dev_page, dev_off, nbytes)?;
-        let e0 = self.lanes[i].node.os().machine().now();
-        let r1 = self.send(i, pid, src_va, dev_page, dev_off, nbytes)?;
-        let e1 = self.lanes[i].node.os().machine().now();
-        let mut remaining = count - 2;
-        let stride = e1.saturating_duration_since(e0);
-        let eligible = r0.transfers == 1
-            && r0.retries == 0
-            && r1 == r0
-            && stride == self.steady_stride(i, nbytes)
-            && stride.as_nanos() <= u64::from(u32::MAX);
-        if eligible
-            && self.lanes[i].node.os_mut().machine_mut().udma_replay_messages(remaining, stride)
-        {
-            self.propagate();
-            return Ok(r1);
-        }
-        let mut last = r1;
-        while remaining > 0 {
-            last = self.send(i, pid, src_va, dev_page, dev_off, nbytes)?;
-            remaining -= 1;
-        }
-        Ok(last)
+        let op = SendOp { pid, src_va, dev_page, dev_off, nbytes, class: PacketClass::User };
+        let mut host = Serial {
+            lanes: &mut self.lanes,
+            fabric: self.fabric.shard_mut(),
+            core: &mut self.core,
+            sender: i,
+        };
+        Ok(self.tx.train(&mut host, &op, count)?)
     }
 
     /// A user-level deliberate-update send: `nbytes` from `src_va` on node
     /// `i` through device proxy page `dev_page` + `dev_off`, then packet
-    /// propagation.
+    /// propagation (a one-message [`Multicomputer::send_burst`]).
     ///
     /// # Errors
     ///
@@ -943,11 +887,7 @@ impl Multicomputer {
         dev_off: u64,
         nbytes: u64,
     ) -> Result<UdmaXferResult, ShrimpError> {
-        self.check_node(i)?;
-        let result =
-            self.lanes[i].node.os_mut().udma_send(pid, src_va, dev_page, dev_off, nbytes)?;
-        self.propagate();
-        Ok(result)
+        self.send_burst(i, pid, src_va, dev_page, dev_off, nbytes, 1)
     }
 
     /// Sends `data` by programmed I/O through the NIC's memory-mapped FIFO
@@ -1012,30 +952,14 @@ impl Multicomputer {
     /// Injects every NIC's built packets into the fabric and applies all
     /// deliveries: receive-side EISA DMA into physical memory.
     pub fn propagate(&mut self) {
-        let tracing = self.core.tracing();
-        // Inject, draining every NIC into the persistent scratch queues.
-        let mut outbox = std::mem::take(&mut self.outbox);
-        let mut run_outbox = std::mem::take(&mut self.run_outbox);
-        for lane in &mut self.lanes {
-            lane.node.drain_nic(tracing, &mut outbox);
-            lane.node.drain_nic_runs(&mut run_outbox);
-        }
-        for out in outbox.drain(..) {
-            self.fabric.send(out.packet, out.ready_at);
-        }
-        for run in run_outbox.drain(..) {
-            let ready_at = run.ready_at;
-            let run =
-                PacketRun { template: run.packet, count: run.count, stride_ns: run.stride_ns };
-            self.fabric.shard_mut().send_run(run, ready_at);
-        }
-        self.outbox = outbox;
-        self.run_outbox = run_outbox;
-        // Deliver everything currently in flight (new sends only happen
-        // from CPU activity, which happens between propagate calls). The
-        // drain itself is the shared `DeliveryCore`, run with an unbounded
-        // horizon: the serial driver is the one-shard instantiation.
-        self.core.commit_due(self.fabric.shard_mut(), self.lanes.as_mut_slice(), None);
+        // No train is running, so the sender index is never consulted.
+        let mut host = Serial {
+            lanes: &mut self.lanes,
+            fabric: self.fabric.shard_mut(),
+            core: &mut self.core,
+            sender: 0,
+        };
+        host.flush(&mut self.tx, PacketClass::User);
     }
 
     /// Advances every node's clock to the global maximum (a barrier) and
@@ -1077,6 +1001,34 @@ impl Multicomputer {
         } else {
             Err(ShrimpError::NoSuchNode(i))
         }
+    }
+}
+
+/// The serial entry point as a [`TrainHost`]: the whole machine, one
+/// machine-wide fabric and delivery core.
+struct Serial<'a> {
+    lanes: &'a mut [Lane],
+    fabric: &'a mut FabricShard,
+    core: &'a mut DeliveryCore,
+    sender: usize,
+}
+
+impl TrainHost for Serial<'_> {
+    fn sender(&mut self) -> &mut ShrimpNode {
+        &mut self.lanes[self.sender].node
+    }
+
+    /// Drains **every** NIC, not just the sender's (stores to
+    /// automatic-update pages and PIO commits build packets outside any
+    /// train), stages straight into the machine-wide fabric, and commits
+    /// everything with an unbounded horizon (new sends only happen from
+    /// CPU activity, which happens between flushes).
+    fn flush(&mut self, tx: &mut Executor, class: PacketClass) {
+        let tracing = self.core.tracing();
+        for lane in self.lanes.iter_mut() {
+            tx.drain(&mut lane.node, tracing, class, self.fabric, FabricShard::stage);
+        }
+        self.core.commit_due(self.fabric, self.lanes, None);
     }
 }
 

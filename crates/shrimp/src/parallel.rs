@@ -7,12 +7,16 @@
 //! destination's inbound link at or before `t`, so all traffic at or
 //! before the minimum paused clock is safe to commit.
 //!
-//! There is no separate parallel delivery implementation: each shard owns
-//! a [`FabricShard`] (the staged-packet source) and a `DeliveryCore` (the
-//! receive-side EISA DMA apply), the same two pieces the serial
-//! [`Multicomputer::propagate`] drives for the whole machine. The serial
-//! driver is literally the `threads = 1` instantiation of this engine
-//! minus the epoch machinery: one shard, unbounded horizon, no barriers.
+//! There is no separate parallel send or delivery implementation: each
+//! shard owns an `Executor` (the send → calibrate → replay → stage
+//! sequence), a [`FabricShard`] (the staged-packet source) and a
+//! `DeliveryCore` (the receive-side EISA DMA apply) — the same three
+//! pieces the serial driver ([`Multicomputer::send_burst`],
+//! [`Multicomputer::propagate`]) runs over the whole machine. What a
+//! shard adds is only *where staged entries go and when they commit*:
+//! into per-destination-shard batches, committed at epoch boundaries,
+//! where the serial driver stages into the one machine-wide fabric and
+//! commits after every literal send.
 //!
 //! Each epoch has two barrier-separated phases:
 //!
@@ -40,20 +44,20 @@
 //! are committed in `(link_ready, id)` order with per-destination
 //! receive state, so the simulated timeline and receiver memory are
 //! **bit-identical at any thread count**, including `threads = 1`.
-//! Equivalence with the *serial* [`Multicomputer::send`] driver holds
-//! because both now stage and commit through the same code with the same
-//! `(link_ready, id)` key (see `DESIGN.md` §6b).
+//! The *serial* driver runs the same executor and delivery core, but its
+//! commit-after-every-send order is a different schedule: its timeline
+//! matches this engine's whenever the flows are independent — each
+//! receiving node hears from one sender and sends nothing itself — and
+//! not otherwise (see `DESIGN.md` §6b).
 
 use shrimp_mem::VirtAddr;
-use shrimp_net::{FabricShard, PacketClass, PacketRun, Staged};
-use shrimp_os::{Pid, UdmaXferResult};
-use shrimp_sim::{
-    ExchangeGrid, FlightRecorder, Histogram, SampleRing, SimTime, SpinBarrier, TimeFrontier,
-};
+use shrimp_net::{FabricShard, PacketClass, Staged};
+use shrimp_os::Pid;
+use shrimp_sim::{ExchangeGrid, FlightRecorder, Histogram, SimTime, SpinBarrier, TimeFrontier};
 
-use crate::engine::{DeliveryCore, Lane, LaneMap};
+use crate::engine::{DeliveryCore, Executor, Lane, LaneMap, TrainHost};
 use crate::program::{NullProgram, ProgramPlan, StreamProgram, TrafficProgram};
-use crate::{Multicomputer, ShrimpError};
+use crate::{Multicomputer, ShrimpError, ShrimpNode};
 
 /// Sends a node executes per epoch. Fixed (never derived from the thread
 /// count or the host) so epoch boundaries are identical at any
@@ -257,9 +261,50 @@ impl LaneMap for RoundRobin<'_> {
     }
 }
 
+/// One node's trains as a shard runs them: a [`TrainHost`] that stages
+/// every injected entry into the batch for its destination's shard.
+struct ShardHost<'a> {
+    lane: &'a mut Lane,
+    fabric: &'a mut FabricShard,
+    staging: &'a mut [Vec<Flit>],
+    posted_min: &'a mut Option<SimTime>,
+    reactive: bool,
+    tracing: bool,
+}
+
+impl TrainHost for ShardHost<'_> {
+    fn sender(&mut self) -> &mut ShrimpNode {
+        &mut self.lane.node
+    }
+
+    /// Drains only the sender's NIC (a shard's other nodes run their own
+    /// trains) and commits nothing: the batches post at the end of the
+    /// execute phase and commit under the next horizon.
+    fn flush(&mut self, tx: &mut Executor, class: PacketClass) {
+        let ShardHost { lane, fabric, staging, posted_min, reactive, tracing } = self;
+        tx.drain(&mut lane.node, *tracing, class, fabric, |_, link_ready, tag, item| {
+            if *reactive {
+                **posted_min = Some(posted_min.map_or(link_ready, |m| m.min(link_ready)));
+            }
+            let dst = match &item {
+                Staged::One(packet) => packet.dst,
+                Staged::Run(run) => run.template.dst,
+            };
+            // lint:checks(F1) -- `% staging.len()` (the thread count)
+            // clamps the shard index into range regardless of the
+            // packet's destination field.
+            let dst_shard = dst.raw() as usize % staging.len();
+            // lint:allow(A1) -- staging batches keep their capacity across
+            // epochs (post_batch drains them in place), so steady-state
+            // pushes never reallocate.
+            staging[dst_shard].push((link_ready, tag, item));
+        });
+    }
+}
+
 /// One worker's slice of the machine: its nodes, its slice of the fabric
 /// (with the deterministic staged queue for traffic addressed to it), and
-/// its instance of the shared delivery core.
+/// its instances of the shared sender executor and delivery core.
 struct Shard {
     id: usize,
     threads: usize,
@@ -268,13 +313,10 @@ struct Shard {
     /// The receive-side delivery implementation — the same code the
     /// serial driver runs, bounded here by the epoch horizon.
     core: DeliveryCore,
-    /// Scratch: NIC drain target, reused across ops.
-    outbox: Vec<crate::OutgoingPacket>,
-    /// Scratch: NIC burst-descriptor drain target.
-    run_outbox: Vec<crate::OutgoingRun>,
-    /// Whether steady-state message trains may replay as runs (copied
-    /// from [`Multicomputer::burst`] at split time).
-    burst: bool,
+    /// The sender-side implementation — the same code the serial driver
+    /// runs, staging here into `staging`. Counts the run's messages and
+    /// packets.
+    tx: Executor,
     /// Staged outgoing flits, one batch per destination shard, posted
     /// once per epoch so mailbox locks are taken O(shards) times.
     staging: Vec<Vec<Flit>>,
@@ -295,12 +337,7 @@ struct Shard {
     clock: Option<fn() -> u64>,
     /// Host-time samples per epoch phase (empty when `clock` is `None`).
     phases: PhaseBreakdown,
-    /// Per-epoch staged-queue depth timeseries (`None` = sampling off;
-    /// see [`Multicomputer::set_epoch_sampling`]).
-    sampler: Option<SampleRing>,
     epochs: u64,
-    messages: u64,
-    packets: u64,
     /// Trapped nodes: `(global index, error)`. A trap finishes that
     /// node's plan; the run keeps going and reports the error at the end.
     errors: Vec<(usize, ShrimpError)>,
@@ -339,10 +376,6 @@ impl Shard {
                 self.fabric.stage(at, tag, pkt);
             }
             lap(clock, &mut mark, &mut self.phases.merge);
-            if let Some(ring) = &mut self.sampler {
-                // Post-merge, pre-commit: the epoch's peak staged depth.
-                ring.record(self.epochs as u32, self.fabric.staged_len() as u64);
-            }
             self.core.commit_due(
                 &mut self.fabric,
                 &mut RoundRobin { nodes: &mut self.nodes, threads: self.threads, id: self.id },
@@ -427,124 +460,38 @@ impl Shard {
     }
 
     /// Runs up to `span` sends of node `ni` (the crossing's
-    /// `K ·` [`CHUNK`] window), staging its packets. Maximal runs of
-    /// identical consecutive ops (length ≥ 3) are burst candidates: two
-    /// literal sends calibrate, the rest replays as one [`Staged::Run`].
-    /// Runs never cross the window, so epoch boundaries — and hence the
-    /// timeline — are the same whether or not batching engages.
+    /// `K ·` [`CHUNK`] window), staging its packets. Each maximal run of
+    /// identical consecutive ops is one train for the shared executor,
+    /// which may calibrate and replay it. Trains never cross the window,
+    /// so epoch boundaries — and hence the timeline — are the same
+    /// whether or not batching engages.
+    // lint:hot_path
     fn execute_chunk(&mut self, ni: usize, span: usize) {
-        let end = (self.nodes[ni].next + span).min(self.nodes[ni].ops.len());
-        while self.nodes[ni].next < end {
-            let sn = &self.nodes[ni];
+        let tracing = self.core.tracing();
+        let sn = &mut self.nodes[ni];
+        let end = (sn.next + span).min(sn.ops.len());
+        while sn.next < end {
             let op = sn.ops[sn.next];
             let mut runlen = 1;
             while sn.next + runlen < end && sn.ops[sn.next + runlen] == op {
                 runlen += 1;
             }
-            if self.burst && runlen >= 3 {
-                // Replayed or not, the calibration sends made progress;
-                // re-detect from the new position either way.
-                self.try_execute_run(ni, op, runlen);
-                if self.nodes[ni].exhausted() {
-                    return;
-                }
-            } else if self.execute_one(ni, op).is_none() {
-                return;
-            }
-        }
-    }
-
-    /// Runs one literal send of `op` on node `ni`, staging its packets.
-    /// Returns `None` after a kernel trap (which finishes the node's
-    /// plan).
-    // lint:hot_path
-    fn execute_one(&mut self, ni: usize, op: SendOp) -> Option<UdmaXferResult> {
-        let tracing = self.core.tracing();
-        let sn = &mut self.nodes[ni];
-        sn.next += 1;
-        let result = match sn.lane.node.os_mut().udma_send(
-            op.pid,
-            op.src_va,
-            op.dev_page,
-            op.dev_off,
-            op.nbytes,
-        ) {
-            Ok(result) => result,
-            Err(trap) => {
+            let mut host = ShardHost {
+                lane: &mut sn.lane,
+                fabric: &mut self.fabric,
+                staging: &mut self.staging,
+                posted_min: &mut self.posted_min,
+                reactive: self.reactive,
+                tracing,
+            };
+            if let Err(trap) = self.tx.train(&mut host, &op, runlen as u64) {
                 // lint:allow(A1) -- a trap is terminal for the node's
                 // plan: the cold error path, never the steady state.
                 self.errors.push((sn.index, trap.into()));
                 sn.next = sn.ops.len();
-                return None;
+                return;
             }
-        };
-        self.messages += 1;
-        sn.lane.node.drain_nic(tracing, &mut self.outbox);
-        for out in self.outbox.drain(..) {
-            let mut pkt = out.packet;
-            pkt.class = op.class;
-            let link_ready = self.fabric.inject(&mut pkt, out.ready_at);
-            let tag = pkt.merge_tag();
-            if self.reactive {
-                self.posted_min = Some(self.posted_min.map_or(link_ready, |m| m.min(link_ready)));
-            }
-            self.packets += 1;
-            let dst_shard = pkt.dst.raw() as usize % self.threads;
-            // lint:allow(A1) -- staging batches keep their capacity across
-            // epochs (post_batch drains them in place), so steady-state
-            // pushes never reallocate.
-            self.staging[dst_shard].push((link_ready, tag, Staged::One(pkt)));
-        }
-        Some(result)
-    }
-
-    /// Calibrates a train of `runlen` identical ops on node `ni` with two
-    /// literal sends; if they hit the model's steady-state stride, the
-    /// remaining `runlen - 2` replay wholesale and stage as one run.
-    /// Always consumes at least the two calibration ops.
-    // lint:hot_path
-    fn try_execute_run(&mut self, ni: usize, op: SendOp, runlen: usize) {
-        let Some(r0) = self.execute_one(ni, op) else { return };
-        let e0 = self.nodes[ni].lane.node.os().machine().now();
-        let Some(r1) = self.execute_one(ni, op) else { return };
-        let e1 = self.nodes[ni].lane.node.os().machine().now();
-        let stride = e1.saturating_duration_since(e0);
-        let model =
-            crate::engine::steady_stride(self.nodes[ni].lane.node.os().machine().cost(), op.nbytes);
-        let eligible = r0.transfers == 1
-            && r0.retries == 0
-            && r1 == r0
-            && stride == model
-            && stride.as_nanos() <= u64::from(u32::MAX);
-        if !eligible {
-            return;
-        }
-        let count = (runlen - 2) as u64;
-        let sn = &mut self.nodes[ni];
-        if !sn.lane.node.os_mut().machine_mut().udma_replay_messages(count, stride) {
-            return;
-        }
-        sn.next += runlen - 2;
-        self.messages += count;
-        sn.lane.node.drain_nic_runs(&mut self.run_outbox);
-        for out in self.run_outbox.drain(..) {
-            let ready_at = out.ready_at;
-            let mut run =
-                PacketRun { template: out.packet, count: out.count, stride_ns: out.stride_ns };
-            run.template.class = op.class;
-            let link_ready = self.fabric.inject_run(&mut run, ready_at);
-            let tag = run.template.merge_tag();
-            if self.reactive {
-                self.posted_min = Some(self.posted_min.map_or(link_ready, |m| m.min(link_ready)));
-            }
-            self.packets += u64::from(run.count);
-            // lint:checks(F1) -- `% self.threads` clamps the shard index
-            // into range regardless of the packet's destination field.
-            let dst_shard = run.template.dst.raw() as usize % self.threads;
-            // lint:allow(A1) -- staging batches keep their capacity across
-            // epochs (post_batch drains them in place), so steady-state
-            // pushes never reallocate.
-            self.staging[dst_shard].push((link_ready, tag, Staged::Run(run)));
+            sn.next += runlen;
         }
     }
 }
@@ -552,11 +499,13 @@ impl Shard {
 impl Multicomputer {
     /// Runs `plans` to completion across `threads` worker threads using
     /// conservative epoch synchronization. With `threads = 1` the single
-    /// shard runs inline (no thread is spawned) and the run is the serial
-    /// driver under another name: same fabric, same delivery core, same
-    /// timeline. The simulated timeline, receiver memory, per-node clocks
-    /// and fabric statistics are identical at any thread count (the count
-    /// is clamped to `[1, node_count]`).
+    /// shard runs inline (no thread is spawned). Any thread count runs the
+    /// serial driver's sender executor and delivery core; only the commit
+    /// schedule differs (epoch boundaries instead of after every send),
+    /// so independent flows land on the serial driver's timeline. The
+    /// simulated timeline, receiver memory, per-node clocks and fabric
+    /// statistics are identical at any thread count (the count is clamped
+    /// to `[1, node_count]`).
     ///
     /// Quiesces in-flight traffic first; plans for the same node
     /// concatenate in argument order. Empty `plans` are exactly the
@@ -688,18 +637,13 @@ impl Multicomputer {
                     r.set_enabled(self.core.recorder.is_enabled());
                     r
                 }),
-                outbox: Vec::with_capacity(8),
-                run_outbox: Vec::with_capacity(4),
-                burst: self.burst(),
+                tx: Executor::new(self.burst()),
                 staging: (0..threads).map(|_| Vec::with_capacity(CHUNK * per_shard)).collect(),
                 incoming: Vec::with_capacity(CHUNK * n),
                 schedule: schedule.clone(),
                 clock: self.phase_clock,
                 phases: PhaseBreakdown::default(),
-                sampler: self.epoch_sample_capacity.map(SampleRing::with_capacity),
                 epochs: 0,
-                messages: 0,
-                packets: 0,
                 errors: Vec::new(),
                 reactive,
                 posted_min: None,
@@ -751,18 +695,12 @@ impl Multicomputer {
         let mut recorders = Vec::with_capacity(threads);
         let mut first_error: Option<(usize, ShrimpError)> = None;
         self.phases = PhaseBreakdown::default();
-        self.epoch_samples.clear();
         for shard in shards {
             self.phases.merge_from(&shard.phases);
-            if let Some(ring) = shard.sampler {
-                // Shards are consumed in shard order, so the timeseries
-                // land in a stable per-shard sequence.
-                self.epoch_samples.push(ring);
-            }
             recorders.push(shard.core.recorder);
             report.epochs = report.epochs.max(shard.epochs);
-            report.messages += shard.messages;
-            report.packets += shard.packets;
+            report.messages += shard.tx.messages;
+            report.packets += shard.tx.packets;
             self.core.dropped += shard.core.dropped;
             self.core.delivered += shard.core.delivered;
             self.core.runs_committed += shard.core.runs_committed;

@@ -5,11 +5,12 @@
 //! digest and the exported trace bytes must be bit-identical whether
 //! steady-state message trains replay as runs or execute
 //! message-at-a-time — at every thread count, for burst sizes on both
-//! sides of the parallel engine's epoch chunk, and for randomized
-//! interleavings of burst and single-message sends.
+//! sides of the parallel engine's epoch chunk, for randomized
+//! interleavings of burst and single-message sends, and for trains that
+//! never calibrate (so every member takes the literal fallback).
 
 use shrimp::{Multicomputer, MulticomputerConfig, NodePlan, PacketClass, SendOp};
-use shrimp_mem::VirtAddr;
+use shrimp_mem::{VirtAddr, PAGE_SIZE};
 use shrimp_os::Pid;
 use shrimp_sim::SplitMix64;
 
@@ -20,25 +21,35 @@ use shrimp_sim::SplitMix64;
 const SIZES: [u64; 5] = [1, 2, 7, 64, 23];
 const NBYTES: u64 = 1024;
 
+/// Message lengths the schedule sweeps run at: [`NBYTES`] calibrates and
+/// replays; a two-page message completes in two transfers
+/// (`transfers == 2`), so no train ever calibrates and every member takes
+/// the shared literal fallback — through the serial driver and the
+/// engine alike.
+const LENGTHS: [u64; 2] = [NBYTES, 2 * PAGE_SIZE];
+
 struct Flow {
     node: usize,
     pid: Pid,
     dev_page: u64,
 }
 
-/// An `n`-node machine with disjoint sender→receiver pairs (`2p → 2p+1`),
-/// tracing on (so trace bytes are part of every comparison).
-fn build(n: u16) -> (Multicomputer, Vec<Flow>) {
+/// An `n`-node machine with disjoint sender→receiver pairs (`2p → 2p+1`)
+/// sized for `nbytes` messages at either [`off`], tracing on (so trace
+/// bytes are part of every comparison).
+fn build(n: u16, nbytes: u64) -> (Multicomputer, Vec<Flow>) {
+    let send_pages = nbytes.div_ceil(PAGE_SIZE);
+    let recv_pages = (2 * nbytes).div_ceil(PAGE_SIZE);
     let mut mc = Multicomputer::new(n, MulticomputerConfig::default());
     let mut flows = Vec::new();
     for p in 0..(usize::from(n) / 2) {
         let (s, r) = (2 * p, 2 * p + 1);
         let spid = mc.spawn_process(s);
         let rpid = mc.spawn_process(r);
-        mc.map_user_buffer(s, spid, 0x10_0000, 1).unwrap();
-        mc.map_user_buffer(r, rpid, 0x40_0000, 1).unwrap();
-        let dev_page = mc.export(r, rpid, VirtAddr::new(0x40_0000), 1, s, spid).unwrap();
-        let fill: Vec<u8> = (0..NBYTES).map(|i| (i as u8) ^ (s as u8)).collect();
+        mc.map_user_buffer(s, spid, 0x10_0000, send_pages).unwrap();
+        mc.map_user_buffer(r, rpid, 0x40_0000, recv_pages).unwrap();
+        let dev_page = mc.export(r, rpid, VirtAddr::new(0x40_0000), recv_pages, s, spid).unwrap();
+        let fill: Vec<u8> = (0..nbytes).map(|i| (i as u8) ^ (s as u8)).collect();
         mc.write_user(s, spid, VirtAddr::new(0x10_0000), &fill).unwrap();
         flows.push(Flow { node: s, pid: spid, dev_page });
     }
@@ -46,16 +57,17 @@ fn build(n: u16) -> (Multicomputer, Vec<Flow>) {
     (mc, flows)
 }
 
-/// Destination offset for train `i`: alternating keeps adjacent trains
-/// distinct ops, so each schedule entry is its own maximal run.
-fn off(i: usize) -> u64 {
-    (i as u64 % 2) * NBYTES
+/// Destination offset for train `i` of `nbytes` messages: alternating
+/// keeps adjacent trains distinct ops, so each schedule entry is its own
+/// maximal run.
+fn off(i: usize, nbytes: u64) -> u64 {
+    (i as u64 % 2) * nbytes
 }
 
 /// Serial driver: every flow sends each schedule entry as one
 /// [`Multicomputer::send_burst`] train.
-fn serial_fingerprint(burst: bool, schedule: &[u64]) -> (u64, String) {
-    let (mut mc, flows) = build(4);
+fn serial_fingerprint(burst: bool, schedule: &[u64], nbytes: u64) -> (u64, String) {
+    let (mut mc, flows) = build(4, nbytes);
     mc.set_burst(burst);
     for f in &flows {
         for (i, &size) in schedule.iter().enumerate() {
@@ -64,8 +76,8 @@ fn serial_fingerprint(burst: bool, schedule: &[u64]) -> (u64, String) {
                 f.pid,
                 VirtAddr::new(0x10_0000),
                 f.dev_page,
-                off(i),
-                NBYTES,
+                off(i, nbytes),
+                nbytes,
                 size,
             )
             .unwrap();
@@ -77,8 +89,13 @@ fn serial_fingerprint(burst: bool, schedule: &[u64]) -> (u64, String) {
 
 /// Parallel engine: the same schedule as per-node plans — each entry
 /// becomes a train of identical consecutive ops the engine may batch.
-fn parallel_fingerprint(burst: bool, threads: usize, schedule: &[u64]) -> (u64, String) {
-    let (mut mc, flows) = build(4);
+fn parallel_fingerprint(
+    burst: bool,
+    threads: usize,
+    schedule: &[u64],
+    nbytes: u64,
+) -> (u64, String) {
+    let (mut mc, flows) = build(4, nbytes);
     mc.set_burst(burst);
     let plans: Vec<NodePlan> = flows
         .iter()
@@ -89,8 +106,8 @@ fn parallel_fingerprint(burst: bool, threads: usize, schedule: &[u64]) -> (u64, 
                     pid: f.pid,
                     src_va: VirtAddr::new(0x10_0000),
                     dev_page: f.dev_page,
-                    dev_off: off(i),
-                    nbytes: NBYTES,
+                    dev_off: off(i, nbytes),
+                    nbytes,
                     class: PacketClass::User,
                 };
                 ops.extend(std::iter::repeat_n(op, size as usize));
@@ -104,24 +121,29 @@ fn parallel_fingerprint(burst: bool, threads: usize, schedule: &[u64]) -> (u64, 
 
 #[test]
 fn serial_burst_replay_is_invisible() {
-    let batched = serial_fingerprint(true, &SIZES);
-    let literal = serial_fingerprint(false, &SIZES);
-    assert_eq!(batched.0, literal.0, "state digest diverged");
-    assert_eq!(batched.1, literal.1, "exported trace bytes diverged");
+    for nbytes in LENGTHS {
+        let batched = serial_fingerprint(true, &SIZES, nbytes);
+        let literal = serial_fingerprint(false, &SIZES, nbytes);
+        assert_eq!(batched.0, literal.0, "state digest diverged at {nbytes} B");
+        assert_eq!(batched.1, literal.1, "exported trace bytes diverged at {nbytes} B");
+    }
 }
 
 #[test]
 fn burst_sweep_is_invisible_at_every_thread_count() {
-    let reference = parallel_fingerprint(false, 1, &SIZES);
-    for threads in [1usize, 2, 4] {
-        let batched = parallel_fingerprint(true, threads, &SIZES);
-        assert_eq!(batched.0, reference.0, "digest diverged at {threads} threads");
-        assert_eq!(batched.1, reference.1, "trace bytes diverged at {threads} threads");
+    for nbytes in LENGTHS {
+        let reference = parallel_fingerprint(false, 1, &SIZES, nbytes);
+        for threads in [1usize, 2, 4] {
+            let batched = parallel_fingerprint(true, threads, &SIZES, nbytes);
+            assert_eq!(batched.0, reference.0, "digest diverged: {nbytes} B, {threads} threads");
+            assert_eq!(batched.1, reference.1, "trace diverged: {nbytes} B, {threads} threads");
+        }
+        // The serial driver runs the identical workload to the identical
+        // fingerprint — batching cannot tell the entry points apart
+        // either.
+        let serial = serial_fingerprint(true, &SIZES, nbytes);
+        assert_eq!(serial, reference, "serial driver diverged from the engine at {nbytes} B");
     }
-    // The serial driver runs the identical workload to the identical
-    // fingerprint — batching cannot tell the entry points apart either.
-    let serial = serial_fingerprint(true, &SIZES);
-    assert_eq!(serial, reference, "serial driver diverged from the parallel engine");
 }
 
 #[test]
@@ -132,9 +154,9 @@ fn random_interleavings_of_burst_and_single_sends_are_invisible() {
         let mut rng = SplitMix64::new(0x0B_5EED ^ seed);
         let trains = 4 + rng.next_below(5) as usize;
         let schedule: Vec<u64> = (0..trains).map(|_| 1 + rng.next_below(40)).collect();
-        let reference = parallel_fingerprint(false, 1, &schedule);
+        let reference = parallel_fingerprint(false, 1, &schedule, NBYTES);
         for threads in [1usize, 2, 4] {
-            let batched = parallel_fingerprint(true, threads, &schedule);
+            let batched = parallel_fingerprint(true, threads, &schedule, NBYTES);
             assert_eq!(
                 batched.0, reference.0,
                 "digest diverged: seed {seed}, {threads} threads, schedule {schedule:?}"
@@ -144,7 +166,7 @@ fn random_interleavings_of_burst_and_single_sends_are_invisible() {
                 "trace diverged: seed {seed}, {threads} threads, schedule {schedule:?}"
             );
         }
-        let serial = serial_fingerprint(true, &schedule);
+        let serial = serial_fingerprint(true, &schedule, NBYTES);
         assert_eq!(serial, reference, "serial diverged: seed {seed}, schedule {schedule:?}");
     }
 }

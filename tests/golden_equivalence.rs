@@ -183,6 +183,86 @@ fn parallel_plan_stream_matches_pinned_timeline() {
 }
 
 // ---------------------------------------------------------------------
+// Serial `send_burst` semantics: commit after every literal send.
+// ---------------------------------------------------------------------
+
+/// Final `(node 0 clock, node 1 clock, state digest)` of
+/// [`serial_trains`]'s bidirectional exchange, captured from commit
+/// 9fb2396 (before the serial driver and the sharded engine shared one
+/// sender executor). Burst on and off must both land here.
+const EXCHANGE_FINAL: (u64, u64, u64) = (5_053_980, 5_011_707, 0x1623_47a3_55ba_ef35);
+
+/// Final `(node 0 clock, state digest)` of [`serial_trains`]'s
+/// self-send train, captured from the same commit.
+const SELF_TRAIN_FINAL: (u64, u64) = (1_175_902, 0x9ec1_24e6_6f5b_f9b5);
+
+/// Two serial workloads whose timelines depend on the serial driver
+/// committing every literal send before the next one starts:
+///
+/// - a 2-node exchange of 1 KB `send_burst` trains in both directions,
+///   so each node's passive clock is pulled forward by deliveries that
+///   land between its own trains;
+/// - a 1-node train of 1 KB messages the node sends to itself, so every
+///   delivery lands on the sender's own clock mid-train (calibration
+///   never sees the model's steady-state stride).
+///
+/// Returns the two fingerprints in the order of [`EXCHANGE_FINAL`] and
+/// [`SELF_TRAIN_FINAL`].
+fn serial_trains(burst: bool) -> ((u64, u64, u64), (u64, u64)) {
+    const BYTES: u64 = 1024;
+    let mut mc = Multicomputer::with_machine_config(2, MachineConfig::default());
+    mc.set_burst(burst);
+    let pids = [mc.spawn_process(0), mc.spawn_process(1)];
+    let mut devs = [0u64; 2];
+    for (i, &pid) in pids.iter().enumerate() {
+        mc.map_user_buffer(i, pid, 0x10_0000, 1).unwrap();
+        mc.map_user_buffer(i, pid, 0x40_0000, 1).unwrap();
+        let fill: Vec<u8> = (0..BYTES).map(|b| (b as u8) ^ (i as u8 * 0x5a)).collect();
+        mc.write_user(i, pid, VirtAddr::new(0x10_0000), &fill).unwrap();
+    }
+    for (i, &pid) in pids.iter().enumerate() {
+        let peer = 1 - i;
+        devs[i] = mc.export(peer, pids[peer], VirtAddr::new(0x40_0000), 1, i, pid).unwrap();
+    }
+    for round in 0..4u64 {
+        for i in 0..2 {
+            let count = 7 + 3 * round + i as u64;
+            mc.send_burst(i, pids[i], VirtAddr::new(0x10_0000), devs[i], 0, BYTES, count).unwrap();
+        }
+    }
+    mc.run_until_quiet();
+    let exchange = (
+        mc.node(0).os().machine().now().as_nanos(),
+        mc.node(1).os().machine().now().as_nanos(),
+        mc.state_digest(),
+    );
+
+    let mut mc = Multicomputer::with_machine_config(1, MachineConfig::default());
+    mc.set_burst(burst);
+    let pid = mc.spawn_process(0);
+    mc.map_user_buffer(0, pid, 0x10_0000, 1).unwrap();
+    mc.map_user_buffer(0, pid, 0x40_0000, 1).unwrap();
+    let fill: Vec<u8> = (0..BYTES).map(|b| (b * 7) as u8).collect();
+    mc.write_user(0, pid, VirtAddr::new(0x10_0000), &fill).unwrap();
+    let dev = mc.export(0, pid, VirtAddr::new(0x40_0000), 1, 0, pid).unwrap();
+    mc.send_burst(0, pid, VirtAddr::new(0x10_0000), dev, 0, BYTES, 12).unwrap();
+    mc.run_until_quiet();
+    let got = mc.read_user(0, pid, VirtAddr::new(0x40_0000), BYTES).unwrap();
+    assert_eq!(got, fill, "self-send train must land in the node's own buffer");
+    let self_train = (mc.node(0).os().machine().now().as_nanos(), mc.state_digest());
+    (exchange, self_train)
+}
+
+#[test]
+fn serial_send_burst_commits_every_literal_send() {
+    for burst in [true, false] {
+        let (exchange, self_train) = serial_trains(burst);
+        assert_eq!(exchange, EXCHANGE_FINAL, "bidirectional exchange, burst={burst}");
+        assert_eq!(self_train, SELF_TRAIN_FINAL, "self-send train, burst={burst}");
+    }
+}
+
+// ---------------------------------------------------------------------
 // Pooled buffers never alias in-flight packets.
 // ---------------------------------------------------------------------
 
