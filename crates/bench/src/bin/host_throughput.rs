@@ -24,13 +24,11 @@
 //!                      per workload, and compare those — slow host drift
 //!                      (thermal, noisy neighbours) then biases neither
 //!                      side. The baseline's best rows become `"before"`.
-//!   --trace <path>     also run the 8-node stream with the flight
-//!                      recorder enabled, write the Perfetto trace-event
-//!                      JSON to <path>, and record the traced run (its
-//!                      digest must match the untraced runs)
-//!   --trace-bin <path> like --trace but writes the compact `SHRTRC01`
-//!                      binary span format (convertible to the identical
-//!                      JSON with `shrimp::trace_bin_to_json`)
+//!   --trace-bin <path> also run the 8-node stream with the flight
+//!                      recorder enabled, write its `SHRTRC01` trace to
+//!                      <path>, and record the traced run (its digest
+//!                      must match the untraced runs); render Perfetto
+//!                      JSON from it with `shrimp_trace <path> --perfetto`
 //!   --metrics <path>   also run a traced + metered 64-node mesh smoke
 //!                      (t=2) and a traced 2-node stream, write the
 //!                      machine-wide metrics snapshot (stable text form)
@@ -68,14 +66,6 @@ use shrimp_bench::table::print_table;
 #[cfg(feature = "count-allocs")]
 #[global_allocator]
 static ALLOC: shrimp_bench::alloc_count::CountingAlloc = shrimp_bench::alloc_count::CountingAlloc;
-
-/// Scans `json` for `key` (e.g. `"spans":`) and parses the integer that
-/// follows it (our own format; no JSON dep).
-fn baseline_field_u64(json: &str, key: &str) -> Option<u64> {
-    let rest = &json[json.find(key)? + key.len()..];
-    let end = rest.find([',', '}'])?;
-    rest[..end].trim().parse().ok()
-}
 
 /// Pulls `"msgs_per_sec":<n>` for workload `name` out of a previous
 /// output with plain string scanning (our own format; no JSON dep).
@@ -140,8 +130,8 @@ fn extract_run_object<'a>(array: &'a str, name: &str) -> Option<&'a str> {
 const AB_ROUNDS: usize = 2;
 
 const USAGE: &str = "usage: host_throughput [--quick] [--threads <n>] [--out <path>] \
-     [--compare <path>] [--baseline-bin <path>] [--trace <path>] [--trace-bin <path>] \
-     [--metrics <path>] [--sample-trace <path>]";
+     [--compare <path>] [--baseline-bin <path>] [--trace-bin <path>] [--metrics <path>] \
+     [--sample-trace <path>]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -150,14 +140,13 @@ fn main() {
     let mut out_path = "BENCH_throughput.json".to_string();
     let mut compare_path: Option<String> = None;
     let mut baseline_bin: Option<String> = None;
-    let mut trace_path: Option<String> = None;
     let mut trace_bin_path: Option<String> = None;
     let mut metrics_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--out" | "--compare" | "--baseline-bin" | "--threads" | "--trace" | "--trace-bin"
+            "--out" | "--compare" | "--baseline-bin" | "--threads" | "--trace-bin"
             | "--metrics" | "--sample-trace" => {
                 let Some(v) = it.next() else {
                     eprintln!("error: {a} requires a value\n{USAGE}");
@@ -167,13 +156,12 @@ fn main() {
                     "--out" => out_path = v.clone(),
                     "--compare" => compare_path = Some(v.clone()),
                     "--baseline-bin" => baseline_bin = Some(v.clone()),
-                    "--trace" => trace_path = Some(v.clone()),
                     "--trace-bin" => trace_bin_path = Some(v.clone()),
                     "--metrics" => metrics_path = Some(v.clone()),
                     "--sample-trace" => {
                         // Fixed small deterministic workload: same bytes
                         // on every host, safe to commit as a sample.
-                        let (r, _, bin) = host_perf::stream_pairs_traced_bin(2, 4096, 200, 1);
+                        let (r, bin) = host_perf::stream_pairs_traced(2, 4096, 200, 1);
                         fs::write(v, &bin).expect("write sample trace");
                         println!(
                             "wrote {}-byte sample trace ({} msgs, digest {:016x}) to {v}",
@@ -330,23 +318,11 @@ fn main() {
     // The traced entry joins `runs`, so the digest-equality check below
     // also proves tracing never perturbs the simulated timeline.
     let mut traced_overhead = String::new();
-    if trace_path.is_some() || trace_bin_path.is_some() {
-        let (result, trace, bin) = host_perf::stream_pairs_traced_bin(8, 4096, 50_000 / scale, 2);
-        let spans = baseline_field_u64(&trace, "\"spans\":").unwrap_or(0);
-        if let Some(path) = &trace_path {
-            fs::write(path, &trace).expect("write trace JSON");
-            println!("wrote {spans}-span Perfetto trace to {path}");
-        }
-        if let Some(path) = &trace_bin_path {
-            let roundtrip = shrimp::trace_bin_to_json(&bin).expect("well-formed binary trace");
-            assert_eq!(roundtrip, trace, "binary trace must convert back to the exact JSON");
-            fs::write(path, &bin).expect("write binary trace");
-            println!(
-                "wrote {spans}-span binary trace to {path} ({} bytes vs {} JSON)",
-                bin.len(),
-                trace.len()
-            );
-        }
+    if let Some(path) = &trace_bin_path {
+        let (result, bin) = host_perf::stream_pairs_traced(8, 4096, 50_000 / scale, 2);
+        let spans = shrimp::TraceFile::decode(&bin).expect("well-formed trace").recorded;
+        fs::write(path, &bin).expect("write binary trace");
+        println!("wrote {spans}-span binary trace to {path} ({} bytes)", bin.len());
         // The traced-vs-untraced throughput delta, against the same
         // workload's untraced row from this invocation.
         if let Some(untraced) = runs.iter().find(|r| {
@@ -374,8 +350,7 @@ fn main() {
         // --quick): the metered digest then joins the equality check
         // against the untraced rows, and one-time shard setup amortizes
         // below the 0.002 allocs/msg contract.
-        let (result, _, _, metrics) =
-            host_perf::stream_pairs_traced_metered_bin(64, 4096, 6_000, 2);
+        let (result, _, metrics) = host_perf::stream_pairs_traced_metered_bin(64, 4096, 6_000, 2);
         fs::write(path, &metrics).expect("write metrics snapshot");
         println!("wrote {}-line metrics snapshot to {path}", metrics.lines().count());
         runs.push(result);

@@ -1,9 +1,9 @@
 //! Offline analyzer for SHRIMP transfer traces.
 //!
-//! Reads a trace produced by `host_throughput --trace[-bin]` (or any
-//! [`shrimp::Multicomputer::export_trace`]/`export_trace_bin` output) in
-//! either format — the compact `SHRTRC01` binary or the Perfetto
-//! trace-event JSON — and reports where transfer time went:
+//! Reads a `SHRTRC01` trace — the one format the simulator writes
+//! ([`shrimp::Multicomputer::export_trace_bin`], e.g. via
+//! `host_throughput --trace-bin`), decoded by [`shrimp::TraceFile`] — and
+//! reports where transfer time went:
 //!
 //! * per-stage latency percentiles (p50/p90/p99/max) from the same
 //!   log-scaled histograms the simulator uses internally,
@@ -13,180 +13,119 @@
 //!   side with deltas — byte-identical traces show every delta as 0 and
 //!   exit 0; any difference exits 1 (usable as a CI regression gate).
 //!
+//! `--perfetto <out.json>` instead renders the trace as Chrome/Perfetto
+//! trace-event JSON (load it at <https://ui.perfetto.dev> or
+//! `chrome://tracing`) and exits. This is the only Perfetto writer: the
+//! simulator itself never produces JSON traces.
+//!
 //! Run: `cargo run --release -p shrimp-bench --bin shrimp_trace -- \
 //!       traces/sample_2node.shrtrc`
 //!
-//! The format is sniffed from the content (magic bytes vs `{`), never
-//! the file name. No JSON library: the Perfetto parser is plain string
-//! scanning over the exporter's own line-per-event layout.
+//! A file that does not decode as `SHRTRC01` is reported and exits 1.
 
+use std::fmt::Write as _;
 use std::fs;
 use std::process::ExitCode;
 
-use shrimp::TRACE_BIN_MAGIC;
-use shrimp_sim::{Histogram, Stage, STAGE_COUNT};
+use shrimp::TraceFile;
+use shrimp_sim::{Histogram, SpanRecord, Stage, STAGE_COUNT};
 
-/// One normalized transfer span: identity, endpoints, and the duration
-/// of each pipeline stage in nanoseconds.
-#[derive(Clone, Copy, Debug)]
-struct Span {
-    /// Raw transfer id (`src << 48 | seq`).
-    id: u64,
-    src: u16,
-    dst: u16,
-    bytes: u32,
-    stage_ns: [u64; STAGE_COUNT],
+/// Duration of each pipeline stage of `span`, in nanoseconds.
+fn stage_ns(span: &SpanRecord) -> [u64; STAGE_COUNT] {
+    Stage::ALL.map(|stage| {
+        let (start, end) = span.stage_bounds(stage);
+        end.saturating_duration_since(start).as_nanos()
+    })
 }
 
-impl Span {
-    fn total_ns(&self) -> u64 {
-        self.stage_ns.iter().sum()
-    }
+fn total_ns(span: &SpanRecord) -> u64 {
+    stage_ns(span).iter().sum()
+}
 
-    /// The stage this span spent the most time in.
-    fn dominant(&self) -> Stage {
-        let mut best = 0;
-        for (i, &ns) in self.stage_ns.iter().enumerate() {
-            if ns > self.stage_ns[best] {
-                best = i;
+/// The stage `span` spent the most time in.
+fn dominant(span: &SpanRecord) -> Stage {
+    let ns = stage_ns(span);
+    let mut best = 0;
+    for (i, &d) in ns.iter().enumerate() {
+        if d > ns[best] {
+            best = i;
+        }
+    }
+    Stage::ALL[best]
+}
+
+/// Renders `t` as Chrome/Perfetto trace-event JSON: per-node
+/// `process_name` metadata, one `"ph":"X"` complete event per span stage
+/// (timestamps and durations in microseconds, spans in file order), and
+/// a `"stats"` trailer with the per-stage summary (nanoseconds).
+fn render_perfetto(t: &TraceFile) -> String {
+    let mut out = String::with_capacity(512 + t.spans.len() * 5 * 160);
+    out.push_str("{\n  \"displayTimeUnit\": \"ns\",\n  \"traceEvents\": [");
+    let mut first = true;
+    for i in 0..t.nodes {
+        if !std::mem::take(&mut first) {
+            out.push(',');
+        }
+        let _ = write!(
+            out,
+            "\n    {{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{i},\"tid\":0,\
+             \"args\":{{\"name\":\"node{i}\"}}}}"
+        );
+    }
+    for span in &t.spans {
+        for stage in Stage::ALL {
+            let (start, end) = span.stage_bounds(stage);
+            if !std::mem::take(&mut first) {
+                out.push(',');
             }
-        }
-        Stage::ALL[best]
-    }
-}
-
-/// A parsed trace, whichever format it came from.
-#[derive(Debug)]
-struct Trace {
-    nodes: u16,
-    /// Spans the recorder *observed* (>= `spans.len()` if a ring filled).
-    recorded: u64,
-    /// Spans the recorder's rings had no room for.
-    ring_dropped: u64,
-    spans: Vec<Span>,
-}
-
-/// Decodes the `SHRTRC01` binary format (layout documented at
-/// [`shrimp::Multicomputer::export_trace_bin`]): the 192-byte header,
-/// then one 64-byte record per span carrying six stage-boundary
-/// timestamps, here reduced to five stage durations.
-fn parse_bin(bytes: &[u8]) -> Option<Trace> {
-    struct Reader<'a> {
-        b: &'a [u8],
-    }
-    impl Reader<'_> {
-        fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
-            let (head, rest) = self.b.split_at_checked(N)?;
-            self.b = rest;
-            head.try_into().ok()
-        }
-        fn u16(&mut self) -> Option<u16> {
-            self.take().map(u16::from_le_bytes)
-        }
-        fn u32(&mut self) -> Option<u32> {
-            self.take().map(u32::from_le_bytes)
-        }
-        fn u64(&mut self) -> Option<u64> {
-            self.take().map(u64::from_le_bytes)
+            let _ = write!(
+                out,
+                "\n    {{\"name\":\"{}\",\"cat\":\"udma\",\"ph\":\"X\",\"ts\":{:.3},\
+                 \"dur\":{:.3},\"pid\":{},\"tid\":{},\
+                 \"args\":{{\"xfer\":\"{}\",\"bytes\":{}}}}}",
+                stage.name(),
+                start.as_micros_f64(),
+                end.saturating_duration_since(start).as_micros_f64(),
+                span.src,
+                span.dst,
+                span.id,
+                span.bytes,
+            );
         }
     }
-
-    let mut r = Reader { b: bytes };
-    if &r.take::<8>()? != TRACE_BIN_MAGIC {
-        return None;
+    out.push_str("\n  ],\n");
+    let _ = write!(
+        out,
+        "  \"stats\": {{\"spans\":{},\"dropped\":{},\"stages\":{{",
+        t.recorded, t.dropped,
+    );
+    for (i, (stage, s)) in Stage::ALL.into_iter().zip(&t.stages).enumerate() {
+        let _ = write!(
+            out,
+            "{}\n    \"{}\":{{\"count\":{},\"mean_ns\":{:.1},\"min_ns\":{},\
+             \"max_ns\":{}}}",
+            if i == 0 { "" } else { "," },
+            stage.name(),
+            s.count,
+            s.mean_ns,
+            s.min_ns,
+            s.max_ns,
+        );
     }
-    let nodes = r.u16()?;
-    let _reserved = r.u16()?;
-    let count = r.u32()? as usize;
-    let recorded = r.u64()?;
-    let ring_dropped = r.u64()?;
-    // Per-stage summary block (count/min/max/mean-bits): recomputable
-    // from the spans, so the analyzer skips it.
-    for _ in 0..STAGE_COUNT * 4 {
-        r.u64()?;
-    }
-    let mut spans = Vec::with_capacity(count);
-    for _ in 0..count {
-        let id = r.u64()?;
-        let (src, dst, bytes) = (r.u16()?, r.u16()?, r.u32()?);
-        let mut ts = [0u64; STAGE_COUNT + 1];
-        for t in &mut ts {
-            *t = r.u64()?;
-        }
-        let mut stage_ns = [0u64; STAGE_COUNT];
-        for (i, d) in stage_ns.iter_mut().enumerate() {
-            *d = ts[i + 1].saturating_sub(ts[i]);
-        }
-        spans.push(Span { id, src, dst, bytes, stage_ns });
-    }
-    r.b.is_empty().then_some(Trace { nodes, recorded, ring_dropped, spans })
-}
-
-/// Pulls the value after `key` out of `line`, up to the next `,` or `}`.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let rest = &line[line.find(key)? + key.len()..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
-/// Parses the exporter's Perfetto trace-event JSON: one `"ph":"X"` line
-/// per (span, stage), grouped per span in stage order, plus one
-/// `process_name` metadata line per node. Produces the same [`Trace`] as
-/// [`parse_bin`] on the matching binary export.
-fn parse_json(text: &str) -> Option<Trace> {
-    let mut nodes: u16 = 0;
-    let mut spans: Vec<Span> = Vec::new();
-    let mut current: Option<Span> = None;
-    for line in text.lines() {
-        if line.contains("\"process_name\"") {
-            nodes += 1;
-            continue;
-        }
-        if !line.contains("\"ph\":\"X\"") {
-            continue;
-        }
-        let stage_name = field(line, "\"name\":")?;
-        let stage = *Stage::ALL.iter().find(|s| s.name() == stage_name)?;
-        let dur_us: f64 = field(line, "\"dur\":")?.parse().ok()?;
-        let src: u16 = field(line, "\"pid\":")?.parse().ok()?;
-        let dst: u16 = field(line, "\"tid\":")?.parse().ok()?;
-        let bytes: u32 = field(line, "\"bytes\":")?.parse().ok()?;
-        let (id_node, id_seq) = field(line, "\"xfer\":")?.split_once(':')?;
-        let id = (id_node.parse::<u64>().ok()? << 48) | id_seq.parse::<u64>().ok()?;
-        if current.as_ref().is_none_or(|s| s.id != id) {
-            if let Some(done) = current.take() {
-                spans.push(done);
-            }
-            current = Some(Span { id, src, dst, bytes, stage_ns: [0; STAGE_COUNT] });
-        }
-        // Exported timestamps are microseconds with three decimals, so
-        // nanoseconds round-trip exactly.
-        current.as_mut()?.stage_ns[stage.index()] = (dur_us * 1000.0).round() as u64;
-    }
-    spans.extend(current);
-    let recorded = field(text, "\"spans\":").and_then(|v| v.parse().ok())?;
-    let ring_dropped = field(text, "\"dropped\":").and_then(|v| v.parse().ok())?;
-    Some(Trace { nodes, recorded, ring_dropped, spans })
-}
-
-/// Sniffs the format and parses: `SHRTRC01` magic → binary, else JSON.
-fn parse(bytes: &[u8]) -> Option<Trace> {
-    if bytes.starts_with(TRACE_BIN_MAGIC) {
-        parse_bin(bytes)
-    } else {
-        parse_json(std::str::from_utf8(bytes).ok()?)
-    }
+    out.push_str("\n  }}\n}\n");
+    out
 }
 
 /// Per-stage latency histograms plus the end-to-end total, rebuilt from
 /// the retained spans with the simulator's own log-scaled [`Histogram`].
-fn stage_histograms(t: &Trace) -> [Histogram; STAGE_COUNT + 1] {
+fn stage_histograms(t: &TraceFile) -> [Histogram; STAGE_COUNT + 1] {
     let mut hists: [Histogram; STAGE_COUNT + 1] = Default::default();
     for span in &t.spans {
-        for (i, &ns) in span.stage_ns.iter().enumerate() {
-            hists[i].record(ns);
+        let ns = stage_ns(span);
+        for (h, &d) in hists.iter_mut().zip(&ns) {
+            h.record(d);
         }
-        hists[STAGE_COUNT].record(span.total_ns());
+        hists[STAGE_COUNT].record(ns.iter().sum());
     }
     hists
 }
@@ -229,7 +168,7 @@ fn print_stage_table(hists: &[Histogram; STAGE_COUNT + 1]) {
 /// Breakdown rows capped for huge meshes; the cap is always announced.
 const TOP_ROWS: usize = 8;
 
-fn print_node_breakdown(t: &Trace) {
+fn print_node_breakdown(t: &TraceFile) {
     // Aggregate by sender; index by node id (bounded by the header).
     let n = usize::from(t.nodes).max(1);
     let mut spans_by = vec![0u64; n];
@@ -239,7 +178,7 @@ fn print_node_breakdown(t: &Trace) {
         let i = usize::from(s.src).min(n - 1);
         spans_by[i] += 1;
         bytes_by[i] += u64::from(s.bytes);
-        ns_by[i] += s.total_ns();
+        ns_by[i] += total_ns(s);
     }
     let mut order: Vec<usize> = (0..n).filter(|&i| spans_by[i] > 0).collect();
     order.sort_by_key(|&i| (std::cmp::Reverse(bytes_by[i]), i));
@@ -264,7 +203,7 @@ fn print_node_breakdown(t: &Trace) {
     }
 }
 
-fn print_link_breakdown(t: &Trace) {
+fn print_link_breakdown(t: &TraceFile) {
     // Aggregate by (src, dst); a stream workload has nodes/2 live links.
     let mut links: Vec<(u32, u64, u64, Histogram)> = Vec::new();
     for s in &t.spans {
@@ -278,7 +217,7 @@ fn print_link_breakdown(t: &Trace) {
         };
         slot.1 += 1;
         slot.2 += u64::from(s.bytes);
-        slot.3.record(s.stage_ns[Stage::Wire.index()]);
+        slot.3.record(stage_ns(s)[Stage::Wire.index()]);
     }
     links.sort_by_key(|&(k, _, bytes, _)| (std::cmp::Reverse(bytes), k));
     let shown = links.len().min(TOP_ROWS);
@@ -303,29 +242,28 @@ fn print_link_breakdown(t: &Trace) {
     }
 }
 
-fn print_slowest(t: &Trace, top: usize) {
-    let mut order: Vec<usize> = (0..t.spans.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(t.spans[i].total_ns()), t.spans[i].id));
+fn print_slowest(t: &TraceFile, top: usize) {
+    let mut order: Vec<&SpanRecord> = t.spans.iter().collect();
+    order.sort_by_cached_key(|s| (std::cmp::Reverse(total_ns(s)), s.id));
     let shown = order.len().min(top);
     println!("\nslowest {shown} transfers:");
     println!("  xfer             link        bytes      total ns   dominant stage");
-    for &i in &order[..shown] {
-        let s = &t.spans[i];
-        let stage = s.dominant();
-        let share = 100.0 * s.stage_ns[stage.index()] as f64 / s.total_ns().max(1) as f64;
+    for s in &order[..shown] {
+        let stage = dominant(s);
+        let share = 100.0 * stage_ns(s)[stage.index()] as f64 / total_ns(s).max(1) as f64;
         println!(
             "  {:<16} {:<11} {:>8} {:>13}   {} ({share:.0}%)",
-            format!("{}:{}", s.id >> 48, s.id & ((1 << 48) - 1)),
+            s.id.to_string(),
             format!("{}\u{2192}{}", s.src, s.dst),
             s.bytes,
-            s.total_ns(),
+            total_ns(s),
             stage.name(),
         );
     }
 }
 
 /// Side-by-side percentile diff. Returns how many figures differ.
-fn print_diff(a: &Trace, b: &Trace) -> usize {
+fn print_diff(a: &TraceFile, b: &TraceFile) -> usize {
     let (ha, hb) = (stage_histograms(a), stage_histograms(b));
     let mut differing = 0;
     println!("stage figure diff (ns): p50 p90 p99 max — (b - a)");
@@ -346,7 +284,7 @@ fn print_diff(a: &Trace, b: &Trace) -> usize {
     differing
 }
 
-fn load(path: &str) -> Trace {
+fn load(path: &str) -> TraceFile {
     let bytes = match fs::read(path) {
         Ok(b) => b,
         Err(e) => {
@@ -354,40 +292,39 @@ fn load(path: &str) -> Trace {
             std::process::exit(2);
         }
     };
-    match parse(&bytes) {
-        Some(t) => t,
-        None => {
-            eprintln!("error: `{path}` is neither a SHRTRC01 binary nor an exporter JSON trace");
-            std::process::exit(2);
-        }
-    }
+    TraceFile::decode(&bytes).unwrap_or_else(|| {
+        eprintln!("error: `{path}` is not a SHRTRC01 trace");
+        std::process::exit(1);
+    })
 }
 
-const USAGE: &str = "usage: shrimp_trace <trace> [--diff <other>] [--top <n>]";
+const USAGE: &str =
+    "usage: shrimp_trace <trace> [--diff <other>] [--top <n>] [--perfetto <out.json>]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut path: Option<String> = None;
     let mut diff_path: Option<String> = None;
+    let mut perfetto_path: Option<String> = None;
     let mut top = 5usize;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--diff" | "--top" => {
+            "--diff" | "--top" | "--perfetto" => {
                 let Some(v) = it.next() else {
                     eprintln!("error: {a} requires a value\n{USAGE}");
                     return ExitCode::from(2);
                 };
-                if a == "--diff" {
-                    diff_path = Some(v.clone());
-                } else {
-                    match v.parse() {
+                match a.as_str() {
+                    "--diff" => diff_path = Some(v.clone()),
+                    "--perfetto" => perfetto_path = Some(v.clone()),
+                    _ => match v.parse() {
                         Ok(n) => top = n,
                         Err(_) => {
                             eprintln!("error: --top needs an integer\n{USAGE}");
                             return ExitCode::from(2);
                         }
-                    }
+                    },
                 }
             }
             other if path.is_none() && !other.starts_with('-') => path = Some(other.to_string()),
@@ -403,12 +340,20 @@ fn main() -> ExitCode {
     };
 
     let trace = load(&path);
+    if let Some(out) = perfetto_path {
+        if let Err(e) = fs::write(&out, render_perfetto(&trace)) {
+            eprintln!("error: cannot write `{out}`: {e}");
+            return ExitCode::from(2);
+        }
+        println!("wrote {}-span Perfetto trace to {out}", trace.spans.len());
+        return ExitCode::SUCCESS;
+    }
     println!(
         "trace: {path} — {} nodes, {} spans retained ({} recorded, {} ring-dropped)",
         trace.nodes,
         trace.spans.len(),
         trace.recorded,
-        trace.ring_dropped
+        trace.dropped
     );
     if let Some(other) = diff_path {
         let b = load(&other);
@@ -426,30 +371,38 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shrimp::StageSummary;
+    use shrimp_sim::{SimTime, XferId};
 
-    /// Hand-encodes a two-node SHRTRC01 trace with `stamps` as each
-    /// span's six stage-boundary timestamps.
-    fn encode(stamps: &[[u64; 6]]) -> Vec<u8> {
-        let mut b = Vec::new();
-        b.extend_from_slice(TRACE_BIN_MAGIC);
-        b.extend_from_slice(&2u16.to_le_bytes());
-        b.extend_from_slice(&0u16.to_le_bytes());
-        b.extend_from_slice(&(stamps.len() as u32).to_le_bytes());
-        b.extend_from_slice(&(stamps.len() as u64).to_le_bytes());
-        b.extend_from_slice(&0u64.to_le_bytes());
-        for _ in 0..STAGE_COUNT * 4 {
-            b.extend_from_slice(&0u64.to_le_bytes());
+    /// A two-node trace with `stamps` as each span's six stage-boundary
+    /// timestamps (node 0 → node 1, 4 KB each).
+    fn trace(stamps: &[[u64; 6]]) -> TraceFile {
+        let spans = stamps
+            .iter()
+            .enumerate()
+            .map(|(seq, ts)| {
+                let [a, b, c, d, e, f] = ts.map(SimTime::from_nanos);
+                SpanRecord {
+                    id: XferId::new(0, seq as u64),
+                    src: 0,
+                    dst: 1,
+                    bytes: 4096,
+                    initiated_at: a,
+                    queued_at: b,
+                    link_ready: c,
+                    wire_done: d,
+                    delivered_at: e,
+                    status_at: f,
+                }
+            })
+            .collect::<Vec<_>>();
+        TraceFile {
+            nodes: 2,
+            recorded: spans.len() as u64,
+            dropped: 0,
+            stages: [StageSummary::default(); STAGE_COUNT],
+            spans,
         }
-        for (seq, ts) in stamps.iter().enumerate() {
-            b.extend_from_slice(&(seq as u64).to_le_bytes()); // id: node 0, seq
-            b.extend_from_slice(&0u16.to_le_bytes()); // src
-            b.extend_from_slice(&1u16.to_le_bytes()); // dst
-            b.extend_from_slice(&4096u32.to_le_bytes());
-            for t in ts {
-                b.extend_from_slice(&t.to_le_bytes());
-            }
-        }
-        b
     }
 
     const STAMPS: [[u64; 6]; 3] = [
@@ -460,47 +413,69 @@ mod tests {
 
     #[test]
     fn binary_parse_recovers_stage_durations() {
-        let t = parse(&encode(&STAMPS)).expect("valid trace");
+        let t = TraceFile::decode(&trace(&STAMPS).encode()).expect("valid trace");
         assert_eq!(t.nodes, 2);
         assert_eq!(t.recorded, 3);
-        assert_eq!(t.ring_dropped, 0);
+        assert_eq!(t.dropped, 0);
         assert_eq!(t.spans.len(), 3);
-        assert_eq!(t.spans[0].stage_ns, [100, 200, 1000, 200, 100]);
-        assert_eq!(t.spans[2].stage_ns, [50, 450, 1400, 200, 100]);
-        assert_eq!(t.spans[0].total_ns(), 1600);
-        assert_eq!(t.spans[0].dominant(), Stage::Wire);
+        assert_eq!(stage_ns(&t.spans[0]), [100, 200, 1000, 200, 100]);
+        assert_eq!(stage_ns(&t.spans[2]), [50, 450, 1400, 200, 100]);
+        assert_eq!(total_ns(&t.spans[0]), 1600);
+        assert_eq!(dominant(&t.spans[0]), Stage::Wire);
         assert_eq!(t.spans[0].src, 0);
         assert_eq!(t.spans[0].dst, 1);
     }
 
     #[test]
     fn truncated_or_bad_magic_is_rejected() {
-        let good = encode(&STAMPS);
-        assert!(parse(&good[..good.len() - 1]).is_none(), "truncated record");
-        let mut bad = good.clone();
-        bad[0] = b'X';
-        assert!(parse(&bad).is_none(), "wrong magic");
-    }
-
-    #[test]
-    fn json_parse_matches_binary_parse() {
-        let bin = encode(&STAMPS);
-        let json = shrimp::trace_bin_to_json(&bin).expect("round-trip");
-        let (a, b) = (parse(&bin).unwrap(), parse(json.as_bytes()).unwrap());
-        assert_eq!(a.nodes, b.nodes);
-        assert_eq!(a.recorded, b.recorded);
-        assert_eq!(a.spans.len(), b.spans.len());
-        for (x, y) in a.spans.iter().zip(b.spans.iter()) {
-            assert_eq!(x.id, y.id);
-            assert_eq!((x.src, x.dst, x.bytes), (y.src, y.dst, y.bytes));
-            assert_eq!(x.stage_ns, y.stage_ns, "durations survive the µs round-trip");
+        let good = trace(&STAMPS).encode();
+        let mut bad_magic = good.clone();
+        bad_magic[0] = b'X';
+        let mut trailing = good.clone();
+        trailing.push(0);
+        // A bare 192-byte header claiming u32::MAX spans: the decoder
+        // must reject it before sizing any buffer from the count.
+        let mut huge_count = good[..192].to_vec();
+        huge_count[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        let cases: [(&str, &[u8]); 6] = [
+            ("truncated record", &good[..good.len() - 1]),
+            ("truncated header", &good[..191]),
+            ("wrong magic", &bad_magic),
+            ("not a trace at all", b"NOTATRACE"),
+            ("trailing bytes", &trailing),
+            ("span count u32::MAX", &huge_count),
+        ];
+        for (what, bytes) in cases {
+            assert!(TraceFile::decode(bytes).is_none(), "{what}");
         }
     }
 
     #[test]
+    fn perfetto_render_carries_nodes_stages_and_stats() {
+        let t = trace(&STAMPS);
+        let json = render_perfetto(&t);
+        let lines: Vec<&str> = json.lines().collect();
+        let names = lines.iter().filter(|l| l.contains("\"process_name\"")).count();
+        assert_eq!(names, 2, "one process_name record per node");
+        let events: Vec<&&str> = lines.iter().filter(|l| l.contains("\"ph\":\"X\"")).collect();
+        assert_eq!(events.len(), 5 * t.spans.len(), "five complete events per span");
+        for (seq, chunk) in events.chunks(STAGE_COUNT).enumerate() {
+            for (line, stage) in chunk.iter().zip(Stage::ALL) {
+                assert!(line.contains(&format!("\"name\":\"{}\"", stage.name())), "{line}");
+                assert!(line.contains(&format!("\"xfer\":\"0:{seq}\"")), "{line}");
+            }
+        }
+        assert!(events[0].contains("\"ts\":0.000,\"dur\":0.100,"), "{}", events[0]);
+        let stats = json.find("\"stats\": {\"spans\":3,\"dropped\":0,").expect("stats trailer");
+        for stage in Stage::ALL {
+            assert!(json[stats..].contains(&format!("\"{}\":{{\"count\":", stage.name())));
+        }
+        assert!(json.ends_with("\n  }}\n}\n"), "trailer closes the object");
+    }
+
+    #[test]
     fn stage_histograms_report_percentiles() {
-        let t = parse(&encode(&STAMPS)).unwrap();
-        let hists = stage_histograms(&t);
+        let hists = stage_histograms(&trace(&STAMPS));
         let wire = &hists[Stage::Wire.index()];
         assert_eq!(wire.count(), 3);
         assert_eq!(wire.max(), Some(1400));
@@ -512,12 +487,11 @@ mod tests {
 
     #[test]
     fn identical_traces_diff_to_zero() {
-        let (a, b) = (parse(&encode(&STAMPS)).unwrap(), parse(&encode(&STAMPS)).unwrap());
+        let (a, b) = (trace(&STAMPS), trace(&STAMPS));
         assert_eq!(print_diff(&a, &b), 0);
         // A genuinely different trace must not diff to zero.
         let mut other = STAMPS;
         other[0][3] += 5000;
-        let c = parse(&encode(&other)).unwrap();
-        assert_ne!(print_diff(&a, &c), 0);
+        assert_ne!(print_diff(&a, &trace(&other)), 0);
     }
 }

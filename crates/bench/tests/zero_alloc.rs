@@ -42,7 +42,8 @@ fn four_kb_stream_is_allocation_free_with_and_without_tracing() {
         "traced steady state allocated: {:?}/msg",
         traced.allocs_per_msg
     );
-    assert!(trace.contains("\"ph\":\"X\""), "traced run exported no spans");
+    let spans = shrimp::TraceFile::decode(&trace).expect("trace decodes").spans.len();
+    assert!(spans > 0, "traced run exported no spans");
 }
 
 #[test]

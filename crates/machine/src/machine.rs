@@ -6,7 +6,7 @@ use shrimp_mem::{Layout, PhysMemory, Region, VirtAddr, MMIO_BASE, PAGE_SIZE};
 use shrimp_mmu::{AccessKind, Fault, Mmu, Mode, PageTable};
 use shrimp_sim::{
     Clock, CostModel, Counter, EventRing, MachineEvent, MachineEventKind, SimDuration, SimTime,
-    StatSet, TraceBuffer,
+    StatSet,
 };
 
 use crate::{UdmaHw, UdmaMode};
@@ -197,19 +197,6 @@ impl<D: Device> Machine<D> {
     pub fn record_event(&mut self, kind: MachineEventKind) {
         let at = self.clock.now();
         self.events.record(MachineEvent { at, kind });
-    }
-
-    /// Renders the typed event transcript as a legacy string
-    /// [`TraceBuffer`] — the debug formatter. Built on demand and owned by
-    /// the caller; the hot path records only typed events.
-    pub fn trace(&self) -> TraceBuffer {
-        let mut buf = TraceBuffer::new(self.events.capacity());
-        buf.set_enabled(true);
-        for e in self.events.iter() {
-            buf.record(e.at, e.kind.category(), || e.kind.to_string());
-        }
-        buf.set_enabled(self.events.is_enabled());
-        buf
     }
 
     /// Lets autonomous hardware (UDMA engine, device) catch up to the
@@ -710,16 +697,15 @@ mod tests {
         );
         // Disabled by default: nothing recorded.
         m.store(&mut pt, vdev, 64, Mode::User).unwrap();
-        assert!(m.trace().is_empty());
+        assert!(m.events().is_empty());
 
         m.set_tracing(true);
         m.store(&mut pt, vdev, 64, Mode::User).unwrap();
         m.kernel_inval_udma();
         assert_eq!(m.events().len(), 2);
-        // The debug formatter renders the typed events as legacy text.
-        let rendered = m.trace();
-        assert_eq!(rendered.in_category("udma").count(), 2);
-        let messages: Vec<_> = rendered.iter().map(|e| e.message.clone()).collect();
+        // Each typed event renders its own line of text.
+        assert!(m.events().iter().all(|e| e.kind.category() == "udma"));
+        let messages: Vec<_> = m.events().iter().map(|e| e.to_string()).collect();
         assert!(messages[0].contains("STORE 64"), "{messages:?}");
         assert!(messages[1].contains("INVAL"), "{messages:?}");
         let _ = layout;

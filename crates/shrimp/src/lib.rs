@@ -16,7 +16,9 @@
 //!   export/import helpers that fill NIPT entries,
 //! - [`Multicomputer`] — the whole machine: nodes + fabric + the
 //!   receive-side EISA DMA logic that deposits packet data directly into
-//!   remote physical memory ("deliberate update").
+//!   remote physical memory ("deliberate update"),
+//! - [`TraceFile`] — the `SHRTRC01` flight-recorder trace: the one codec
+//!   behind [`Multicomputer::export_trace_bin`] and every trace reader.
 //!
 //! # Example — two-node deliberate update
 //!
@@ -54,11 +56,10 @@ mod node;
 mod parallel;
 mod program;
 mod tenant;
+mod trace;
 
 pub use api::{Channel, ChannelMessage};
-pub use multicomputer::{
-    trace_bin_to_json, Multicomputer, MulticomputerConfig, ShrimpError, TRACE_BIN_MAGIC,
-};
+pub use multicomputer::{Multicomputer, MulticomputerConfig, ShrimpError};
 pub use nic::{Nic, OutgoingPacket, OutgoingRun, PioError, NIC_MMIO};
 pub use nipt::{Nipt, NiptEntry};
 pub use node::ShrimpNode;
@@ -68,3 +69,4 @@ pub use program::{
 };
 pub use shrimp_net::PacketClass;
 pub use tenant::{NiptDirectory, TenantMapping};
+pub use trace::{StageSummary, TraceFile};

@@ -66,7 +66,7 @@ fn off(i: usize, nbytes: u64) -> u64 {
 
 /// Serial driver: every flow sends each schedule entry as one
 /// [`Multicomputer::send_burst`] train.
-fn serial_fingerprint(burst: bool, schedule: &[u64], nbytes: u64) -> (u64, String) {
+fn serial_fingerprint(burst: bool, schedule: &[u64], nbytes: u64) -> (u64, Vec<u8>) {
     let (mut mc, flows) = build(4, nbytes);
     mc.set_burst(burst);
     for f in &flows {
@@ -84,7 +84,7 @@ fn serial_fingerprint(burst: bool, schedule: &[u64], nbytes: u64) -> (u64, Strin
         }
     }
     mc.run_until_quiet();
-    (mc.state_digest(), mc.export_trace())
+    (mc.state_digest(), mc.export_trace_bin())
 }
 
 /// Parallel engine: the same schedule as per-node plans — each entry
@@ -94,7 +94,7 @@ fn parallel_fingerprint(
     threads: usize,
     schedule: &[u64],
     nbytes: u64,
-) -> (u64, String) {
+) -> (u64, Vec<u8>) {
     let (mut mc, flows) = build(4, nbytes);
     mc.set_burst(burst);
     let plans: Vec<NodePlan> = flows
@@ -116,7 +116,7 @@ fn parallel_fingerprint(
         })
         .collect();
     mc.run(&plans, threads).unwrap();
-    (mc.state_digest(), mc.export_trace())
+    (mc.state_digest(), mc.export_trace_bin())
 }
 
 #[test]

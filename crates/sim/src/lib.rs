@@ -19,8 +19,7 @@
 //!   flight recorder: typed five-stage spans with cross-node correlation
 //!   IDs and a deterministic merge for the parallel engine,
 //! - [`MachineEvent`] / [`EventRing`] — typed, allocation-free machine
-//!   event records; [`TraceBuffer`] remains as the debug formatter
-//!   rendered from them on demand,
+//!   event records, each rendering its own one-line text form,
 //! - [`CostModel`] — every timing constant used by the simulated machine,
 //!   documented with its calibration source (see `DESIGN.md` §4).
 //!
@@ -51,7 +50,6 @@ mod rng;
 mod span;
 mod stats;
 mod time;
-mod trace;
 
 pub use buf::{BufPool, Payload};
 pub use clock::Clock;
@@ -66,4 +64,3 @@ pub use span::{
 };
 pub use stats::{Counter, Histogram, StatSet};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceBuffer, TraceEvent};

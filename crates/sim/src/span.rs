@@ -15,9 +15,8 @@
 //! - [`FlightRecorder`] — a span ring plus per-stage latency
 //!   [`Histogram`]s, with a deterministic merge for the sharded parallel
 //!   engine,
-//! - [`MachineEvent`] / [`MachineEventKind`] — the typed replacement for
-//!   the old string-based machine trace; the legacy `TraceBuffer` is now a
-//!   debug *formatter* rendered on demand from these events.
+//! - [`MachineEvent`] / [`MachineEventKind`] — typed machine-level
+//!   events; `Display` renders one as a line of text on demand.
 //!
 //! Determinism contract: per-shard recorders merge in the same
 //! `(link_ready, src‖seq)` order the parallel engine commits packets, so
@@ -416,8 +415,7 @@ impl FlightRecorder {
     }
 }
 
-/// One typed machine-level event: what the old string trace recorded,
-/// minus the strings.
+/// One typed machine-level event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MachineEvent {
     /// When the event happened.
@@ -428,9 +426,8 @@ pub struct MachineEvent {
 
 /// The typed event vocabulary of the machine/OS layers.
 ///
-/// Every variant is plain `Copy` data; the human-readable strings the old
-/// `TraceBuffer` stored are now produced on demand by the `Display` impl,
-/// off the hot path.
+/// Every variant is plain `Copy` data; the human-readable text is
+/// produced on demand by the `Display` impl, off the hot path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MachineEventKind {
     /// A user STORE hit device proxy space (UDMA initiation, first half).
@@ -488,7 +485,7 @@ pub enum MachineEventKind {
 }
 
 impl MachineEventKind {
-    /// The trace category the old string trace filed this under.
+    /// The component label a rendered event carries.
     pub const fn category(self) -> &'static str {
         match self {
             MachineEventKind::ProxyStore { .. }
@@ -498,6 +495,13 @@ impl MachineEventKind {
             MachineEventKind::Evicted { .. } => "pager",
             MachineEventKind::ContextSwitch { .. } | MachineEventKind::PageFault { .. } => "kernel",
         }
+    }
+}
+
+impl fmt::Display for MachineEvent {
+    /// One line: `[time] category message`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "[{:>12}] {:<8} {}", self.at.to_string(), self.kind.category(), self.kind)
     }
 }
 
@@ -662,5 +666,11 @@ mod tests {
             MachineEventKind::ContextSwitch { from: -1, to: 2 }.to_string(),
             "context switch idle -> pid2"
         );
+    }
+
+    #[test]
+    fn machine_event_display_format() {
+        let e = MachineEvent { at: t(2800), kind: MachineEventKind::Inval };
+        assert_eq!(e.to_string(), "[     2.800us] udma     INVAL (context switch)");
     }
 }

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use shrimp::{Multicomputer, MulticomputerConfig, NodePlan, PacketClass, SendOp};
+use shrimp::{Multicomputer, MulticomputerConfig, NodePlan, PacketClass, SendOp, TraceFile};
 use shrimp_mem::VirtAddr;
 use shrimp_os::Pid;
 use shrimp_sim::{merge_tag, EventQueue, MergeQueue, SimTime};
@@ -46,6 +46,11 @@ fn paired_stream(n: u16, msgs: usize, bytes: u64) -> (Multicomputer, Vec<NodePla
         });
     }
     (mc, plans)
+}
+
+/// Whether a `SHRTRC01` export decodes and carries at least one span.
+fn has_spans(trace: &[u8]) -> bool {
+    TraceFile::decode(trace).is_some_and(|t| !t.spans.is_empty())
 }
 
 #[test]
@@ -113,8 +118,8 @@ fn unified_engine_reproduces_the_serial_driver_bytes() {
     }
     serial.run_until_quiet();
     let serial_digest = serial.state_digest();
-    let serial_trace = serial.export_trace();
-    assert!(serial_trace.contains("\"ph\":\"X\""), "serial trace must contain spans");
+    let serial_trace = serial.export_trace_bin();
+    assert!(has_spans(&serial_trace), "serial trace must contain spans");
 
     for threads in [1usize, 2, 4] {
         let (mut mc, plans) = paired_stream(8, 20, 1024);
@@ -126,7 +131,7 @@ fn unified_engine_reproduces_the_serial_driver_bytes() {
             "threads={threads}: unified engine digest diverged from the serial driver"
         );
         assert_eq!(
-            mc.export_trace(),
+            mc.export_trace_bin(),
             serial_trace,
             "threads={threads}: unified engine trace bytes diverged from the serial driver"
         );
@@ -155,7 +160,7 @@ fn tracing_is_invisible_to_state_digests() {
 
 #[test]
 fn traces_and_stats_are_bit_identical_across_thread_counts() {
-    // The exported Perfetto JSON and the combined stats view are pure
+    // The exported SHRTRC01 trace and the combined stats view are pure
     // functions of the simulated timeline: any thread count must produce
     // byte-identical output (the recorder merges shard rings in commit
     // order, exactly the serial event order).
@@ -165,10 +170,10 @@ fn traces_and_stats_are_bit_identical_across_thread_counts() {
         let (mut mc, plans) = paired_stream(8, 20, 1024);
         mc.set_tracing(true);
         mc.run(&plans, threads).unwrap();
-        traces.push(mc.export_trace());
+        traces.push(mc.export_trace_bin());
         stats.push(mc.stats());
     }
-    assert!(traces[0].contains("\"ph\":\"X\""), "trace must contain spans");
+    assert!(has_spans(&traces[0]), "trace must contain spans");
     assert_eq!(traces[0], traces[1], "trace: 1 vs 2 threads");
     assert_eq!(traces[1], traces[2], "trace: 2 vs 4 threads");
     assert_eq!(stats[0], stats[1], "stats: 1 vs 2 threads");
@@ -222,8 +227,8 @@ fn big_mesh_digest_and_trace_are_invariant_across_windows_and_threads() {
     }
     serial.run_until_quiet();
     let serial_digest = serial.state_digest();
-    let serial_trace = serial.export_trace();
-    assert!(serial_trace.contains("\"ph\":\"X\""), "serial trace must contain spans");
+    let serial_trace = serial.export_trace_bin();
+    assert!(has_spans(&serial_trace), "serial trace must contain spans");
 
     for windows in [1usize, 2, 8] {
         for threads in [1usize, 2, 4] {
@@ -237,7 +242,7 @@ fn big_mesh_digest_and_trace_are_invariant_across_windows_and_threads() {
                 "K={windows} t={threads}: digest diverged from the serial driver"
             );
             assert_eq!(
-                mc.export_trace(),
+                mc.export_trace_bin(),
                 serial_trace,
                 "K={windows} t={threads}: trace bytes diverged from the serial driver"
             );

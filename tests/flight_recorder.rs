@@ -1,17 +1,15 @@
 //! The transfer-level flight recorder: a traced UDMA transfer must yield
 //! one five-stage span whose stage boundaries never run backwards, the
-//! Perfetto export must parse and carry every stage, and tracing must be
-//! pure observation (nothing recorded — and nothing exported — when off).
-//!
-//! The exporter emits hand-built JSON, so the checks here parse it with a
-//! deliberately independent hand-rolled scanner (no JSON dependency).
+//! `SHRTRC01` export must decode and carry every stage, and tracing must
+//! be pure observation (nothing recorded — and nothing exported — when
+//! off).
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
-use shrimp::{Multicomputer, MulticomputerConfig};
+use shrimp::{Multicomputer, MulticomputerConfig, TraceFile};
 use shrimp_mem::VirtAddr;
 use shrimp_os::Pid;
-use shrimp_sim::{Stage, STAGE_COUNT};
+use shrimp_sim::Stage;
 
 const SEND_VA: u64 = 0x10000;
 const RECV_VA: u64 = 0x40000;
@@ -26,32 +24,6 @@ fn two_nodes() -> (Multicomputer, Pid, Pid, u64) {
     mc.map_user_buffer(1, r, RECV_VA, 4).unwrap();
     let dev_page = mc.export(1, r, VirtAddr::new(RECV_VA), 4, 0, s).unwrap();
     (mc, s, r, dev_page)
-}
-
-/// Extracts the string value of `"key":"..."` from one JSON object line.
-fn str_field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let start = obj.find(&pat)? + pat.len();
-    let end = obj[start..].find('"')? + start;
-    Some(&obj[start..end])
-}
-
-/// Extracts the numeric value of `"key":<n>` from one JSON object line.
-fn num_field(obj: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = &obj[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Splits the exporter's `traceEvents` array into per-event object lines
-/// (the exporter writes one object per line; this asserts the envelope on
-/// the way: a `traceEvents` array must exist and must close).
-fn trace_events(json: &str) -> Vec<&str> {
-    let start = json.find("\"traceEvents\": [").expect("traceEvents array");
-    let end = json.find("\n  ],").expect("traceEvents closes");
-    json[start..end].split("\n    ").filter(|l| l.starts_with('{')).collect()
 }
 
 #[test]
@@ -91,49 +63,31 @@ fn export_trace_parses_with_all_stages_in_order() {
     for _ in 0..3 {
         mc.send(0, s, VirtAddr::new(SEND_VA), dev_page, 0, 4096).unwrap();
     }
-    let json = mc.export_trace();
+    let trace = TraceFile::decode(&mc.export_trace_bin()).expect("export decodes");
+    assert_eq!(trace.nodes, 2);
 
-    // Group the "ph":"X" events by transfer id, in emission order.
-    let mut by_xfer: BTreeMap<String, Vec<(String, f64, f64)>> = BTreeMap::new();
-    let mut metadata = 0;
-    for event in trace_events(&json) {
-        if str_field(event, "ph") == Some("M") {
-            metadata += 1;
-            continue;
-        }
-        assert_eq!(str_field(event, "ph"), Some("X"), "unknown event phase: {event}");
-        assert_eq!(str_field(event, "cat"), Some("udma"));
-        let name = str_field(event, "name").expect("stage name").to_string();
-        let ts = num_field(event, "ts").expect("ts");
-        let dur = num_field(event, "dur").expect("dur");
-        assert_eq!(num_field(event, "bytes"), Some(4096.0));
-        let xfer = str_field(event, "xfer").expect("correlation id").to_string();
-        by_xfer.entry(xfer).or_default().push((name, ts, dur));
-    }
-    assert_eq!(metadata, 2, "one process_name record per node");
-    assert_eq!(by_xfer.len(), 3, "three transfers, three correlation ids");
-
-    let expected: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
-    for (xfer, stages) in &by_xfer {
-        let names: Vec<&str> = stages.iter().map(|(n, _, _)| n.as_str()).collect();
-        assert_eq!(names, expected, "{xfer}: every span carries all {STAGE_COUNT} stages");
-        for window in stages.windows(2) {
-            let (ref a, a_ts, a_dur) = window[0];
-            let (ref b, b_ts, _) = window[1];
-            assert!(a_dur >= 0.0, "{xfer}/{a}: negative duration");
-            assert!(b_ts >= a_ts, "{xfer}: {b} starts before {a}");
-            // Stages tile the transfer: each starts where the last ended
-            // (µs at ns resolution, so exact up to formatting).
-            assert!((a_ts + a_dur - b_ts).abs() < 0.002, "{xfer}: gap between {a} and {b}");
+    let ids: BTreeSet<_> = trace.spans.iter().map(|span| span.id).collect();
+    assert_eq!((trace.spans.len(), ids.len()), (3, 3), "three transfers, three correlation ids");
+    for span in &trace.spans {
+        assert_eq!(span.bytes, 4096);
+        // Every span carries all five stages, each starting where the
+        // previous one ended.
+        let mut prev_end = None;
+        for stage in Stage::ALL {
+            let (start, end) = span.stage_bounds(stage);
+            assert!(start <= end, "{}/{stage}: negative duration", span.id);
+            if let Some(p) = prev_end {
+                assert_eq!(start, p, "{}: gap before {stage}", span.id);
+            }
+            prev_end = Some(end);
         }
     }
 
-    // The stats trailer agrees with the recorder.
-    assert_eq!(num_field(&json, "spans"), Some(3.0));
-    assert_eq!(num_field(&json, "dropped"), Some(0.0));
-    for stage in Stage::ALL {
-        let section = json.find(&format!("\"{}\":{{", stage.name())).expect("stage summary");
-        assert_eq!(num_field(&json[section..], "count"), Some(3.0), "{stage} count");
+    // The summary agrees with the recorder.
+    assert_eq!(trace.recorded, 3);
+    assert_eq!(trace.dropped, 0);
+    for (stage, summary) in Stage::ALL.into_iter().zip(&trace.stages) {
+        assert_eq!(summary.count, 3, "{stage} count");
     }
 }
 
@@ -145,10 +99,9 @@ fn tracing_off_records_and_exports_nothing() {
     assert!(!mc.tracing());
     assert!(mc.recorder().is_empty());
     assert_eq!(mc.recorder().total_recorded(), 0);
-    let json = mc.export_trace();
-    let spans = trace_events(&json).into_iter().filter(|e| str_field(e, "ph") == Some("X")).count();
-    assert_eq!(spans, 0, "nothing traced, nothing exported");
-    assert_eq!(num_field(&json, "spans"), Some(0.0));
+    let trace = TraceFile::decode(&mc.export_trace_bin()).expect("export decodes");
+    assert!(trace.spans.is_empty(), "nothing traced, nothing exported");
+    assert_eq!(trace.recorded, 0);
 }
 
 #[test]
@@ -158,9 +111,10 @@ fn machine_event_rings_capture_the_initiation_sequence() {
     mc.write_user(0, s, VirtAddr::new(SEND_VA), &[2u8; 256]).unwrap();
     mc.send(0, s, VirtAddr::new(SEND_VA), dev_page, 0, 256).unwrap();
     // The sender's typed event ring saw the STORE/LOAD pair and the
-    // message completion; the rendered debug view preserves the text form.
-    let rendered = mc.node(0).os().machine().trace();
-    let text: Vec<String> = rendered.recent(16).map(|e| e.to_string()).collect();
+    // message completion; each event renders its own line of text.
+    let events = mc.node(0).os().machine().events();
+    let text: Vec<String> =
+        events.iter().skip(events.len().saturating_sub(16)).map(|e| e.to_string()).collect();
     assert!(text.iter().any(|l| l.contains("STORE")), "no proxy STORE in {text:?}");
     assert!(text.iter().any(|l| l.contains("LOAD")), "no status LOAD in {text:?}");
     assert!(text.iter().any(|l| l.contains("message done")), "no completion in {text:?}");
