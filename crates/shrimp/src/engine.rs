@@ -30,7 +30,8 @@
 //! A [`Lane`] is a node plus the receive-side state ([`RxState`]) that
 //! must live wherever deliveries to that node are applied; [`LaneMap`]
 //! abstracts how an engine finds the lane for a global node index
-//! (identity for the serial driver, round-robin for a shard).
+//! (identity for the serial driver; for a shard, the node's slot in the
+//! contiguous block of nodes it owns).
 //!
 //! [`Multicomputer::send_burst`]: crate::Multicomputer::send_burst
 //! [`Multicomputer::run`]: crate::Multicomputer::run
@@ -242,8 +243,8 @@ impl Lane {
 }
 
 /// How an engine finds the [`Lane`] for a global node index: identity for
-/// the serial driver (which owns all lanes), `global / threads` for a
-/// round-robin shard (which owns lanes `id, id + threads, …`).
+/// the serial driver (which owns all lanes), `global - block start` for a
+/// shard (which owns one contiguous block of lanes).
 pub(crate) trait LaneMap {
     fn lane_mut(&mut self, node: usize) -> &mut Lane;
 }

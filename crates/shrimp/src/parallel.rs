@@ -87,27 +87,29 @@ pub const MAX_EPOCH_WINDOWS: usize = 64;
 /// Every shard carries a clone and calls [`WindowSchedule::next`]
 /// exactly once per barrier crossing, so all shards agree on the span
 /// without communicating. The schedule is a pure function of the
-/// *initial plan shape* (per-node op counts) and the optional forced
-/// override — never of execution outcomes or the thread count — so the
-/// epoch boundaries, and with them the whole timeline, are identical at
-/// any parallelism. The prediction deliberately ignores traps: a trapped
-/// node finishes its plan early, which only makes a predicted window
-/// partially idle, never incorrect.
+/// *initial plan shape* (the deepest node's predicted send count) and
+/// the optional forced override — never of execution outcomes or the
+/// thread count — so the epoch boundaries, and with them the whole
+/// timeline, are identical at any parallelism. The prediction
+/// deliberately ignores traps: a trapped node finishes its plan early,
+/// which only makes a predicted window partially idle, never incorrect.
 #[derive(Clone, Debug)]
 struct WindowSchedule {
-    /// Predicted sends remaining per node.
-    pred: Vec<usize>,
+    /// Predicted sends remaining on the deepest node. Every node's
+    /// prediction drops by the same `K · CHUNK` per crossing, so the
+    /// deepest node stays deepest and is all the schedule needs.
+    deepest: usize,
     /// Forced window count ([`Multicomputer::set_epoch_windows`]);
     /// `None` selects adaptively from the deepest remaining plan.
     forced: Option<usize>,
 }
 
 impl WindowSchedule {
-    /// `pred` is the per-node predicted send count: a plan's op count,
-    /// or a program's initial emission plus its
+    /// `deepest` is the largest per-node predicted send count: a plan's
+    /// op count, or a program's initial emission plus its
     /// [`TrafficProgram::planned_hint`].
-    fn new(pred: Vec<usize>, forced: Option<usize>) -> Self {
-        WindowSchedule { pred, forced }
+    fn new(deepest: usize, forced: Option<usize>) -> Self {
+        WindowSchedule { deepest, forced }
     }
 
     /// Window count for the next barrier crossing; advances the plan
@@ -115,15 +117,68 @@ impl WindowSchedule {
     fn next(&mut self) -> usize {
         let k = match self.forced {
             Some(k) => k.clamp(1, MAX_EPOCH_WINDOWS),
-            None => {
-                let deepest = self.pred.iter().copied().max().unwrap_or(0);
-                deepest.div_ceil(CHUNK).clamp(1, MAX_EPOCH_WINDOWS)
-            }
+            None => self.deepest.div_ceil(CHUNK).clamp(1, MAX_EPOCH_WINDOWS),
         };
-        for rem in &mut self.pred {
-            *rem = rem.saturating_sub(k * CHUNK);
-        }
+        self.deepest = self.deepest.saturating_sub(k * CHUNK);
         k
+    }
+}
+
+/// Which shard owns which node — decided here and nowhere else.
+///
+/// Ownership is by contiguous block: shard `s` owns nodes
+/// `[⌈s·n/t⌉, ⌈(s+1)·n/t⌉)`, i.e. `owner(i) = ⌊i·t/n⌋`. Block sizes
+/// differ by at most one, and no shard is empty for `t ≤ n` (the run
+/// clamps `t` to that range). Nodes are numbered row-major on the mesh,
+/// so a block is a band of mesh rows: pair and neighbour traffic stays
+/// inside one shard, and roles assigned by node parity (senders even,
+/// receivers odd) land on every shard, so every shard both executes and
+/// commits. The assignment cannot move the timeline — the horizon is a
+/// global minimum and commit order is per destination — only the host
+/// work balance.
+#[derive(Clone, Debug)]
+struct ShardMap {
+    /// Owning shard per node, built once per run: routing a packet is
+    /// one table load.
+    owner: Vec<usize>,
+    /// First node of each shard's block, then the node count as the
+    /// closing fence.
+    starts: Vec<usize>,
+}
+
+impl ShardMap {
+    /// Blocks for `nodes` nodes over `threads` shards (`1 ≤ threads ≤ nodes`).
+    fn new(nodes: usize, threads: usize) -> Self {
+        debug_assert!(threads >= 1 && threads <= nodes, "{threads} shards for {nodes} nodes");
+        ShardMap {
+            owner: (0..nodes).map(|i| i * threads / nodes).collect(),
+            starts: (0..=threads).map(|s| (s * nodes).div_ceil(threads)).collect(),
+        }
+    }
+
+    /// The nodes shard `s` owns.
+    fn block(&self, s: usize) -> std::ops::Range<usize> {
+        self.starts[s]..self.starts[s + 1]
+    }
+
+    /// The shard that owns `node`.
+    // lint:checks(F1) -- the node index is clamped to the last node, so
+    // the result is a valid shard whatever a packet's destination field
+    // holds.
+    #[inline]
+    fn owner(&self, node: usize) -> usize {
+        self.owner[node.min(self.owner.len() - 1)]
+    }
+
+    /// `node`'s slot within its owner's block.
+    #[inline]
+    fn slot(&self, node: usize) -> usize {
+        node - self.starts[self.owner(node)]
+    }
+
+    /// The owning shard of every node, in node order.
+    fn owners(&self) -> &[usize] {
+        &self.owner
     }
 }
 
@@ -245,19 +300,18 @@ impl ShardNode {
     }
 }
 
-/// How a round-robin shard finds the [`Lane`] for a global node index:
-/// shard `id` owns nodes `id, id + threads, …` at local slots
-/// `global / threads`.
-struct RoundRobin<'a> {
+/// How a shard finds the [`Lane`] for a global node index: its block's
+/// nodes sit at local slots [`ShardMap::slot`].
+struct Block<'a> {
     nodes: &'a mut [ShardNode],
-    threads: usize,
+    map: &'a ShardMap,
     id: usize,
 }
 
-impl LaneMap for RoundRobin<'_> {
+impl LaneMap for Block<'_> {
     fn lane_mut(&mut self, node: usize) -> &mut Lane {
-        debug_assert_eq!(node % self.threads, self.id, "packet routed to the wrong shard");
-        &mut self.nodes[node / self.threads].lane
+        debug_assert_eq!(self.map.owner(node), self.id, "packet routed to the wrong shard");
+        &mut self.nodes[self.map.slot(node)].lane
     }
 }
 
@@ -266,6 +320,7 @@ impl LaneMap for RoundRobin<'_> {
 struct ShardHost<'a> {
     lane: &'a mut Lane,
     fabric: &'a mut FabricShard,
+    map: &'a ShardMap,
     staging: &'a mut [Vec<Flit>],
     posted_min: &'a mut Option<SimTime>,
     reactive: bool,
@@ -281,7 +336,7 @@ impl TrainHost for ShardHost<'_> {
     /// trains) and commits nothing: the batches post at the end of the
     /// execute phase and commit under the next horizon.
     fn flush(&mut self, tx: &mut Executor, class: PacketClass) {
-        let ShardHost { lane, fabric, staging, posted_min, reactive, tracing } = self;
+        let ShardHost { lane, fabric, map, staging, posted_min, reactive, tracing } = self;
         tx.drain(&mut lane.node, *tracing, class, fabric, |_, link_ready, tag, item| {
             if *reactive {
                 **posted_min = Some(posted_min.map_or(link_ready, |m| m.min(link_ready)));
@@ -290,14 +345,10 @@ impl TrainHost for ShardHost<'_> {
                 Staged::One(packet) => packet.dst,
                 Staged::Run(run) => run.template.dst,
             };
-            // lint:checks(F1) -- `% staging.len()` (the thread count)
-            // clamps the shard index into range regardless of the
-            // packet's destination field.
-            let dst_shard = dst.raw() as usize % staging.len();
             // lint:allow(A1) -- staging batches keep their capacity across
             // epochs (post_batch drains them in place), so steady-state
             // pushes never reallocate.
-            staging[dst_shard].push((link_ready, tag, item));
+            staging[map.owner(dst.raw() as usize)].push((link_ready, tag, item));
         });
     }
 }
@@ -307,7 +358,10 @@ impl TrainHost for ShardHost<'_> {
 /// its instances of the shared sender executor and delivery core.
 struct Shard {
     id: usize,
-    threads: usize,
+    /// This shard's copy of the run's node ownership.
+    map: ShardMap,
+    /// The block of nodes [`ShardMap::block`] gives this shard, in node
+    /// order.
     nodes: Vec<ShardNode>,
     fabric: FabricShard,
     /// The receive-side delivery implementation — the same code the
@@ -358,7 +412,7 @@ impl Shard {
             for ni in 0..self.nodes.len() {
                 self.execute_chunk(ni, span);
             }
-            for dst in 0..self.threads {
+            for dst in 0..self.staging.len() {
                 grid.post_batch(self.id, dst, &mut self.staging[dst]);
             }
             let bound = self.publish_bound();
@@ -378,7 +432,7 @@ impl Shard {
             lap(clock, &mut mark, &mut self.phases.merge);
             self.core.commit_due(
                 &mut self.fabric,
-                &mut RoundRobin { nodes: &mut self.nodes, threads: self.threads, id: self.id },
+                &mut Block { nodes: &mut self.nodes, map: &self.map, id: self.id },
                 horizon,
             );
             lap(clock, &mut mark, &mut self.phases.commit);
@@ -479,6 +533,7 @@ impl Shard {
             let mut host = ShardHost {
                 lane: &mut sn.lane,
                 fabric: &mut self.fabric,
+                map: &self.map,
                 staging: &mut self.staging,
                 posted_min: &mut self.posted_min,
                 reactive: self.reactive,
@@ -584,7 +639,7 @@ impl Multicomputer {
         let mut progs: Vec<Option<Box<dyn TrafficProgram>>> = (0..n).map(|_| None).collect();
         let mut plan_slot: Vec<Option<usize>> = vec![None; n];
         let mut init_errors: Vec<(usize, ShrimpError)> = Vec::new();
-        let mut pred: Vec<usize> = vec![0; n];
+        let mut deepest = 0;
         for (slot, pp) in programs.iter_mut().enumerate() {
             let node = pp.node;
             assert!(plan_slot[node].is_none(), "node {node} has more than one traffic program");
@@ -594,7 +649,7 @@ impl Multicomputer {
             let hint = program.planned_hint();
             let lane = &mut self.lanes[node];
             match program.step(&mut lane.node, &[], &mut ops[node]) {
-                Ok(()) => pred[node] = ops[node].len() + hint,
+                Ok(()) => deepest = deepest.max(ops[node].len() + hint),
                 Err(trap) => {
                     init_errors.push((node, trap.into()));
                     ops[node].clear();
@@ -609,14 +664,15 @@ impl Multicomputer {
         // The windows-per-crossing schedule is fixed by the initial
         // emissions before the machine disassembles; every shard gets a
         // clone.
-        let schedule = WindowSchedule::new(pred, self.epoch_windows);
+        let schedule = WindowSchedule::new(deepest, self.epoch_windows);
 
-        // Disassemble: lanes (nodes + receive-side state) move to their
-        // shards (round-robin: shard `s` owns nodes `s, s+threads, …`),
-        // the fabric splits into per-shard link state, and each shard
-        // gets its own instance of the delivery core. Scratch queues are
-        // sized for a full epoch up front so the epoch loop never grows
-        // them.
+        // Disassemble: lanes (nodes + receive-side state) move to the
+        // shards that own their blocks (see `ShardMap`), the fabric
+        // splits into per-shard link state, and each shard gets its own
+        // instance of the delivery core. Scratch queues are sized for a
+        // full epoch of the largest block up front so the epoch loop
+        // never grows them.
+        let map = ShardMap::new(n, threads);
         let per_shard = n.div_ceil(threads);
         let mut shards: Vec<Shard> = self
             .fabric
@@ -625,8 +681,8 @@ impl Multicomputer {
             .enumerate()
             .map(|(id, fabric)| Shard {
                 id,
-                threads,
-                nodes: Vec::new(),
+                map: map.clone(),
+                nodes: Vec::with_capacity(map.block(id).len()),
                 fabric,
                 core: DeliveryCore::new(self.core.passive, {
                     // Full global capacity per shard: each shard's retained
@@ -651,7 +707,7 @@ impl Multicomputer {
             .collect();
         for (index, lane) in std::mem::take(&mut self.lanes).into_iter().enumerate() {
             let failed = init_errors.iter().any(|&(node, _)| node == index);
-            shards[index % threads].nodes.push(ShardNode {
+            shards[map.owner(index)].nodes.push(ShardNode {
                 index,
                 lane,
                 ops: std::mem::take(&mut ops[index]),
@@ -729,8 +785,7 @@ impl Multicomputer {
                 first_error = Some((index, error));
             }
         }
-        let owner: Vec<usize> = (0..n).map(|i| i % threads).collect();
-        self.fabric.merge(fabric_shards, &owner);
+        self.fabric.merge(fabric_shards, map.owners());
         // Deterministic trace merge: spans re-sort into the same
         // `(link_ready, id)` order the commit loops applied them in, so
         // the merged recorder is bit-identical at any thread count.
@@ -793,6 +848,81 @@ mod tests {
         v.push(mc.fabric().stats().get("payload_bytes"));
         v.push(mc.dropped_packets());
         v
+    }
+
+    #[test]
+    fn shard_map_blocks_are_contiguous_balanced_and_round_trip() {
+        for n in 1..=64usize {
+            for t in 1..=n.min(8) {
+                let map = ShardMap::new(n, t);
+                assert_eq!(map.owners().len(), n, "n={n} t={t}: one owner per node");
+                let mut owners_seen = vec![0usize; n];
+                let mut next = 0;
+                for s in 0..t {
+                    let block = map.block(s);
+                    assert_eq!(block.start, next, "n={n} t={t}: block {s} is not contiguous");
+                    assert!(!block.is_empty(), "n={n} t={t}: shard {s} is empty");
+                    for i in block.clone() {
+                        owners_seen[i] += 1;
+                        assert_eq!(map.owner(i), s, "n={n} t={t}: node {i} owner");
+                        assert_eq!(map.owners()[i], s, "n={n} t={t}: node {i} owner table");
+                        let slot = map.slot(i);
+                        assert!(slot < block.len(), "n={n} t={t}: node {i} slot out of block");
+                        assert_eq!(block.start + slot, i, "n={n} t={t}: lane lookup round-trip");
+                    }
+                    if n % (2 * t) == 0 {
+                        let even = block.clone().filter(|i| i % 2 == 0).count();
+                        assert_eq!(2 * even, block.len(), "n={n} t={t}: shard {s} parity split");
+                    }
+                    next = block.end;
+                }
+                assert_eq!(next, n, "n={n} t={t}: blocks must end at the last node");
+                assert!(owners_seen.iter().all(|&c| c == 1), "n={n} t={t}: exactly one owner");
+                let sizes = (0..t).map(|s| map.block(s).len());
+                let (lo, hi) = (sizes.clone().min().unwrap(), sizes.max().unwrap());
+                assert!(
+                    hi - lo <= 1,
+                    "n={n} t={t}: block sizes {lo}..={hi} differ by more than one"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn window_schedule_tracks_the_deepest_plan() {
+        // The schedule is the old per-node sweep reduced to its maximum:
+        // the K sequence must be the one the full prediction vector gave.
+        let reference = |mut pred: Vec<usize>, forced: Option<usize>| {
+            let mut ks = Vec::new();
+            loop {
+                let k = match forced {
+                    Some(k) => k.clamp(1, MAX_EPOCH_WINDOWS),
+                    None => {
+                        let deepest = pred.iter().copied().max().unwrap_or(0);
+                        deepest.div_ceil(CHUNK).clamp(1, MAX_EPOCH_WINDOWS)
+                    }
+                };
+                ks.push(k);
+                for rem in &mut pred {
+                    *rem = rem.saturating_sub(k * CHUNK);
+                }
+                if pred.iter().all(|&r| r == 0) {
+                    return ks;
+                }
+            }
+        };
+        let plans: [&[usize]; 5] =
+            [&[], &[0, 0], &[5, 17, 3], &[4096, 1, 2000, 15], &[MAX_EPOCH_WINDOWS * CHUNK * 3 + 1]];
+        for pred in plans {
+            for forced in [None, Some(0), Some(1), Some(3), Some(10 * MAX_EPOCH_WINDOWS)] {
+                let want = reference(pred.to_vec(), forced);
+                let deepest = pred.iter().copied().max().unwrap_or(0);
+                let mut schedule = WindowSchedule::new(deepest, forced);
+                let got: Vec<usize> = want.iter().map(|_| schedule.next()).collect();
+                assert_eq!(got, want, "pred={pred:?} forced={forced:?}");
+                assert_eq!(schedule.deepest, 0, "pred={pred:?} forced={forced:?}");
+            }
+        }
     }
 
     #[test]

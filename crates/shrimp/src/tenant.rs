@@ -108,12 +108,26 @@ impl NiptDirectory {
     }
 
     /// The cold path: (re)imports `handle`'s mapping, evicting a victim
-    /// when the NIPT is full.
+    /// when the NIPT is full. The mapping's frame list is borrowed out
+    /// of its slot for the call, not cloned, and put back on every path.
     fn reload(&mut self, handle: usize, node: &mut ShrimpNode) -> Result<u64, Trap> {
+        let frames = std::mem::take(&mut self.slots[handle].frames);
+        let result = self.install(handle, &frames, node);
+        self.slots[handle].frames = frames;
+        result
+    }
+
+    /// [`NiptDirectory::reload`] with `handle`'s frames lent out: the
+    /// import, and on a full table the clock sweep for a victim.
+    fn install(
+        &mut self,
+        handle: usize,
+        frames: &[Pfn],
+        node: &mut ShrimpNode,
+    ) -> Result<u64, Trap> {
         self.slots[handle].resident = false;
         let (pid, dst) = (self.slots[handle].pid, self.slots[handle].dst);
-        let frames = self.slots[handle].frames.clone();
-        match node.import_mapping(pid, dst, &frames, 0) {
+        match node.import_mapping(pid, dst, frames, 0) {
             Ok(start) => {
                 self.slots[handle].dev_page = Some(start);
                 self.slots[handle].resident = true;
@@ -142,7 +156,7 @@ impl NiptDirectory {
                     node.os_mut().revoke_device_proxy(vpid, start, vpages)?;
                     self.slots[v].resident = false;
                     self.hand = (v + 1) % n;
-                    let got = node.import_mapping_over(pid, dst, &frames, start)?;
+                    let got = node.import_mapping_over(pid, dst, frames, start)?;
                     self.slots[handle].dev_page = Some(got);
                     self.slots[handle].resident = true;
                     return Ok(got);
@@ -220,6 +234,25 @@ mod tests {
         let nipt = mc.node(0).os().machine().device().nipt();
         assert_eq!(nipt.evictions(), evictions, "steady state never rewrites slots");
         assert_eq!(nipt.refaults(), 0, "steady state never refaults");
+    }
+
+    #[test]
+    fn a_failed_reload_keeps_the_mapping_frames() {
+        // A one-slot table held by a one-page tenant cannot take a
+        // two-page mapping even after eviction: the reload fails, and the
+        // frames it borrowed must be back in the directory.
+        let (mut mc, pids, mut dir) = churn_rig(1, 1);
+        dir.ensure(0, mc.node_mut(0)).unwrap();
+        let rpid = mc.spawn_process(1);
+        mc.map_user_buffer(1, rpid, 0x80_0000, 2).unwrap();
+        let frames = mc.node_mut(1).export_pages(rpid, VirtAddr::new(0x80_0000), 2).unwrap();
+        let dst = mc.node(1).id();
+        let big = dir.register(pids[0], dst, frames.clone());
+        let err = dir.ensure(big, mc.node_mut(0)).unwrap_err();
+        assert!(matches!(err, Trap::DeviceNotGranted { .. }), "got {err:?}");
+        assert_eq!(dir.mapping(big).frames, frames, "frames lost on the error path");
+        assert!(!dir.mapping(big).resident);
+        assert!(dir.mapping(0).resident, "no victim is revoked when none fits");
     }
 
     #[test]

@@ -15,14 +15,43 @@ use shrimp_sim::{merge_tag, EventQueue, MergeQueue, SimTime};
 const SEND_BASE: u64 = 0x10_0000;
 const RECV_BASE: u64 = 0x40_0000;
 
+/// Which receiver each sender `2p` streams to. Every receiver hears
+/// exactly one sender and sends nothing, so both layouts are independent
+/// flows that the serial driver and the sharded engine must agree on.
+#[derive(Clone, Copy, Debug)]
+enum Layout {
+    /// `2p → 2p+1`: neighbours, so under block ownership almost every
+    /// flow stays inside one shard.
+    Paired,
+    /// `2p → n-1-2p`: receivers in reverse order, so most flows cross a
+    /// shard boundary and go through the mailboxes.
+    Crossed,
+}
+
 /// An `n`-node machine with disjoint sender→receiver pairs (`2p → 2p+1`)
 /// and a plan of `msgs` sends of `bytes` bytes per pair. Every pair's
 /// fill pattern depends on the sender index so receiver memories differ.
 fn paired_stream(n: u16, msgs: usize, bytes: u64) -> (Multicomputer, Vec<NodePlan>) {
-    let mut mc = Multicomputer::new(n, MulticomputerConfig::default());
+    stream(Layout::Paired, MulticomputerConfig::default(), n, msgs, bytes)
+}
+
+/// [`paired_stream`] with the receivers chosen by `layout`, on nodes
+/// built from `config`.
+fn stream(
+    layout: Layout,
+    config: MulticomputerConfig,
+    n: u16,
+    msgs: usize,
+    bytes: u64,
+) -> (Multicomputer, Vec<NodePlan>) {
+    let mut mc = Multicomputer::new(n, config);
     let mut plans = Vec::new();
     for p in 0..(n as usize / 2) {
-        let (s, r) = (2 * p, 2 * p + 1);
+        let s = 2 * p;
+        let r = match layout {
+            Layout::Paired => s + 1,
+            Layout::Crossed => n as usize - 1 - s,
+        };
         let spid = mc.spawn_process(s);
         let rpid = mc.spawn_process(r);
         mc.map_user_buffer(s, spid, SEND_BASE, 2).unwrap();
@@ -55,17 +84,23 @@ fn has_spans(trace: &[u8]) -> bool {
 
 #[test]
 fn digests_are_identical_across_thread_counts() {
-    // 2-, 8- and 16-node streams, the sizes the throughput bench sweeps.
-    for (nodes, msgs, bytes) in [(2u16, 40, 1024u64), (8, 25, 1024), (16, 15, 512)] {
-        let mut digests = Vec::new();
-        for threads in [1usize, 2, 4] {
-            let (mut mc, plans) = paired_stream(nodes, msgs, bytes);
-            let report = mc.run(&plans, threads).unwrap();
-            assert_eq!(report.messages, (nodes as u64 / 2) * msgs as u64);
-            digests.push(mc.state_digest());
+    // 2-, 8- and 16-node streams, the sizes the throughput bench sweeps,
+    // with neighbour pairs and with crossed pairs. Three threads make
+    // uneven blocks (8 nodes: 3/3/2) with a pair straddling a boundary.
+    for layout in [Layout::Paired, Layout::Crossed] {
+        for (nodes, msgs, bytes) in [(2u16, 40, 1024u64), (8, 25, 1024), (16, 15, 512)] {
+            let mut digests = Vec::new();
+            for threads in [1usize, 2, 3, 4] {
+                let config = MulticomputerConfig::default();
+                let (mut mc, plans) = stream(layout, config, nodes, msgs, bytes);
+                let report = mc.run(&plans, threads).unwrap();
+                assert_eq!(report.messages, (nodes as u64 / 2) * msgs as u64);
+                digests.push(mc.state_digest());
+            }
+            for (i, d) in digests.iter().enumerate().skip(1) {
+                assert_eq!(*d, digests[0], "{layout:?} {nodes}-node: 1 vs {} threads", i + 1);
+            }
         }
-        assert_eq!(digests[0], digests[1], "{nodes}-node: 1 vs 2 threads");
-        assert_eq!(digests[1], digests[2], "{nodes}-node: 2 vs 4 threads");
     }
 }
 
@@ -210,15 +245,15 @@ fn digests_distinguish_different_workloads() {
     assert_ne!(a.state_digest(), b.state_digest());
 }
 
-#[test]
-fn big_mesh_digest_and_trace_are_invariant_across_windows_and_threads() {
-    // Big-machine satellite: on a 256-node mesh, every combination of
-    // epoch window count (K = 1, 2, 8 lookahead windows per barrier
-    // crossing) and worker count must reproduce the serial driver's
-    // digest AND trace bytes exactly. Window count only changes how much
-    // work runs between barriers — never the commit order — so nine
-    // schedules collapse onto one timeline.
-    let (mut serial, plans) = paired_stream(256, 10, 512);
+/// The K×t serial-driver sweep on a 256-node mesh: every combination of
+/// epoch window count (K = 1, 2, 8 lookahead windows per barrier
+/// crossing) and worker count (t = 1–4; 3 makes uneven blocks) must
+/// reproduce the serial driver's digest AND trace bytes exactly. Window
+/// count only changes how much work runs between barriers, and the
+/// owning shard only where a packet commits — never the commit order —
+/// so twelve schedules collapse onto one timeline.
+fn assert_big_mesh_matches_the_serial_driver(layout: Layout, config: MulticomputerConfig) {
+    let (mut serial, plans) = stream(layout, config.clone(), 256, 10, 512);
     serial.set_tracing(true);
     for plan in &plans {
         for op in &plan.ops {
@@ -231,23 +266,39 @@ fn big_mesh_digest_and_trace_are_invariant_across_windows_and_threads() {
     assert!(has_spans(&serial_trace), "serial trace must contain spans");
 
     for windows in [1usize, 2, 8] {
-        for threads in [1usize, 2, 4] {
-            let (mut mc, plans) = paired_stream(256, 10, 512);
+        for threads in [1usize, 2, 3, 4] {
+            let (mut mc, plans) = stream(layout, config.clone(), 256, 10, 512);
             mc.set_epoch_windows(Some(windows));
             mc.set_tracing(true);
             mc.run(&plans, threads).unwrap();
             assert_eq!(
                 mc.state_digest(),
                 serial_digest,
-                "K={windows} t={threads}: digest diverged from the serial driver"
+                "{layout:?} K={windows} t={threads}: digest diverged from the serial driver"
             );
             assert_eq!(
                 mc.export_trace_bin(),
                 serial_trace,
-                "K={windows} t={threads}: trace bytes diverged from the serial driver"
+                "{layout:?} K={windows} t={threads}: trace bytes diverged from the serial driver"
             );
         }
     }
+}
+
+#[test]
+fn big_mesh_digest_and_trace_are_invariant_across_windows_and_threads() {
+    assert_big_mesh_matches_the_serial_driver(Layout::Paired, MulticomputerConfig::default());
+}
+
+#[test]
+fn crossed_big_mesh_digest_and_trace_are_invariant_across_windows_and_threads() {
+    // Neighbour pairs rarely leave their shard, so this sweep keeps the
+    // mailbox path under test: most flows cross a block boundary. Nodes
+    // get 1 MB of memory (the layout uses a handful of pages) so the
+    // whole-memory digests stay cheap.
+    let mut config = MulticomputerConfig::default();
+    config.node.machine.mem_bytes = 1024 * 1024;
+    assert_big_mesh_matches_the_serial_driver(Layout::Crossed, config);
 }
 
 #[test]
