@@ -21,7 +21,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// The counting allocator. Zero-sized; all state is global.
 pub struct CountingAlloc;
@@ -34,7 +33,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: same layout handed unchanged to `System.alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -46,7 +44,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: arguments forwarded unchanged to `System.realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -54,11 +51,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// Heap allocations observed so far (monotone; see [`delta_since`]).
 pub fn allocation_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
-}
-
-/// Bytes requested from the allocator so far.
-pub fn allocated_bytes() -> u64 {
-    BYTES.load(Ordering::Relaxed)
 }
 
 /// Allocations since a previous [`allocation_count`] reading.

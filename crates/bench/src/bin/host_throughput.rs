@@ -15,15 +15,14 @@
 //!                      serial vs <n> threads; fail if any state digests
 //!                      differ (exit 1)
 //!   --out <path>       output JSON path (default: BENCH_throughput.json)
-//!   --compare <path>   embed a previous output as `"before"` and print
-//!                      per-workload speedups against it
 //!   --baseline-bin <path>
 //!                      interleaved A/B: alternate full passes of the
 //!                      given (previously built) host_throughput binary
 //!                      and the current build, keep each side's best pass
 //!                      per workload, and compare those — slow host drift
 //!                      (thermal, noisy neighbours) then biases neither
-//!                      side. The baseline's best rows become `"before"`.
+//!                      side. The baseline's best rows are written as
+//!                      `"baseline"` beside `"runs"`.
 //!   --trace-bin <path> also run the 8-node stream with the flight
 //!                      recorder enabled, write its `SHRTRC01` trace to
 //!                      <path>, and record the traced run (its digest
@@ -60,85 +59,24 @@
 use std::fs;
 use std::process::Command;
 
-use shrimp_bench::host_perf::{self, ThroughputResult};
+use shrimp_bench::host_perf::{self, RunRow, ThroughputResult};
 use shrimp_bench::table::print_table;
 
 #[cfg(feature = "count-allocs")]
 #[global_allocator]
 static ALLOC: shrimp_bench::alloc_count::CountingAlloc = shrimp_bench::alloc_count::CountingAlloc;
 
-/// Pulls `"msgs_per_sec":<n>` for workload `name` out of a previous
-/// output with plain string scanning (our own format; no JSON dep).
-fn baseline_msgs_per_sec(json: &str, name: &str) -> Option<f64> {
-    let key = format!("\"name\":\"{name}\"");
-    let obj = &json[json.find(&key)?..];
-    let field = "\"msgs_per_sec\":";
-    let rest = &obj[obj.find(field)? + field.len()..];
-    let end = rest.find([',', '}'])?;
-    rest[..end].trim().parse().ok()
-}
-
-/// Extracts the most recent runs array (`"after"` if present, else
-/// `"runs"`) from a previous output, verbatim, by bracket matching.
-fn extract_runs_array(json: &str) -> Option<&str> {
-    let key_pos = json
-        .find("\"after\":")
-        .map(|p| p + "\"after\":".len())
-        .or_else(|| json.find("\"runs\":").map(|p| p + "\"runs\":".len()))?;
-    let rest = &json[key_pos..];
-    let open = rest.find('[')?;
-    let mut depth = 0usize;
-    for (i, c) in rest[open..].char_indices() {
-        match c {
-            '[' => depth += 1,
-            ']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&rest[open..=open + i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Extracts workload `name`'s whole `{...}` row from a runs array by
-/// brace matching (rows nest sub-objects: `"phases"`, per-stage
-/// percentiles — taking the first `}` would truncate the row).
-fn extract_run_object<'a>(array: &'a str, name: &str) -> Option<&'a str> {
-    let key = format!("\"name\":\"{name}\"");
-    let pos = array.find(&key)?;
-    let start = array[..pos].rfind('{')?;
-    let mut depth = 0usize;
-    for (i, c) in array[start..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&array[start..=start + i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
 /// Interleaved A/B passes (per side) for `--baseline-bin`.
 const AB_ROUNDS: usize = 2;
 
 const USAGE: &str = "usage: host_throughput [--quick] [--threads <n>] [--out <path>] \
-     [--compare <path>] [--baseline-bin <path>] [--trace-bin <path>] [--metrics <path>] \
-     [--sample-trace <path>]";
+     [--baseline-bin <path>] [--trace-bin <path>] [--metrics <path>] [--sample-trace <path>]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
     let mut smoke_threads: Option<usize> = None;
     let mut out_path = "BENCH_throughput.json".to_string();
-    let mut compare_path: Option<String> = None;
     let mut baseline_bin: Option<String> = None;
     let mut trace_bin_path: Option<String> = None;
     let mut metrics_path: Option<String> = None;
@@ -146,15 +84,14 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--out" | "--compare" | "--baseline-bin" | "--threads" | "--trace-bin"
-            | "--metrics" | "--sample-trace" => {
+            "--out" | "--baseline-bin" | "--threads" | "--trace-bin" | "--metrics"
+            | "--sample-trace" => {
                 let Some(v) = it.next() else {
                     eprintln!("error: {a} requires a value\n{USAGE}");
                     std::process::exit(2);
                 };
                 match a.as_str() {
                     "--out" => out_path = v.clone(),
-                    "--compare" => compare_path = Some(v.clone()),
                     "--baseline-bin" => baseline_bin = Some(v.clone()),
                     "--trace-bin" => trace_bin_path = Some(v.clone()),
                     "--metrics" => metrics_path = Some(v.clone()),
@@ -186,28 +123,17 @@ fn main() {
             }
         }
     }
-    if compare_path.is_some() && baseline_bin.is_some() {
-        eprintln!("error: --compare and --baseline-bin are mutually exclusive\n{USAGE}");
-        std::process::exit(2);
-    }
-    let compare = compare_path.map(|p| match fs::read_to_string(&p) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot read --compare file `{p}`: {e}");
-            std::process::exit(2);
-        }
-    });
-
     let scale: u32 = if quick { 20 } else { 1 };
     // (nodes, msg_bytes, full messages per pair, quick messages per pair,
     // threads); threads 0 = serial driver. The serial trio keeps the
     // pre-parallel workload names *and* its 1/20 quick scaling so
-    // `--compare` lines up across PRs. Every other row keeps its full
-    // count even under `--quick`: parallel and big-mesh rows are already
-    // sized so the steady state dominates (and so the per-message
-    // allocation figure reflects the steady state, not setup), and the
-    // 64/256/1024-node meshes shrink the per-pair count as the pair count
-    // grows, but never below a few thousand sends per flow: with only
+    // `--baseline-bin` rows line up with older binaries. Every other row
+    // keeps its full count even under `--quick`: parallel and big-mesh
+    // rows are already sized so the steady state dominates (and so the
+    // per-message allocation figure reflects the steady state, not
+    // setup), and the 64/256/1024-node meshes shrink the per-pair count
+    // as the pair count grows, but never below a few thousand sends per
+    // flow: with only
     // hundreds, per-flow burst calibration, cold machine state and the
     // one-time per-run scratch (which scales with node count) would
     // dominate, and the row would measure setup — and render nonzero
@@ -270,9 +196,9 @@ fn main() {
     let mut runs: Vec<ThroughputResult> = Vec::new();
     // With a baseline binary: interleave full passes (baseline, own,
     // baseline, own, …) so slow host drift hits both sides equally, and
-    // keep each side's best pass per workload. `baseline_best` maps our
-    // workload order to the baseline's best row text + msgs/sec.
-    let mut baseline_best: Vec<Option<(f64, String)>> = vec![None; workloads.len()];
+    // keep each side's best pass per workload. `baseline_best` holds the
+    // baseline's best row per name: `(name, msgs/sec, row text)`.
+    let mut baseline_best: Vec<(String, f64, String)> = Vec::new();
     let mode = if baseline_bin.is_some() { "interleaved_ab" } else { "single_pass" };
     match &baseline_bin {
         Some(bin) => {
@@ -285,6 +211,12 @@ fn main() {
                 cmd.args(["--out", &tmp]);
                 match cmd.status() {
                     Ok(s) if s.success() => {}
+                    // Exit 1 is the baseline's own digest or speedup gate:
+                    // it writes its rows first, and this side's gates
+                    // still judge this side.
+                    Ok(s) if s.code() == Some(1) => {
+                        eprintln!("note: baseline binary `{bin}` exited 1 from its own gate");
+                    }
                     Ok(s) => {
                         eprintln!("error: baseline binary `{bin}` exited with {s}");
                         std::process::exit(2);
@@ -295,16 +227,12 @@ fn main() {
                     }
                 }
                 let json = fs::read_to_string(&tmp).unwrap_or_default();
-                if let Some(array) = extract_runs_array(&json) {
-                    for (i, &(nodes, bytes, _, threads)) in workloads.iter().enumerate() {
-                        let suffix =
-                            if threads == 0 { String::new() } else { format!("_t{threads}") };
-                        let name = format!("stream_{bytes}b_{nodes}node{suffix}");
-                        let Some(rate) = baseline_msgs_per_sec(array, &name) else { continue };
-                        let Some(obj) = extract_run_object(array, &name) else { continue };
-                        if baseline_best[i].as_ref().is_none_or(|(best, _)| rate > *best) {
-                            baseline_best[i] = Some((rate, obj.to_string()));
-                        }
+                for RunRow { name, msgs_per_sec, text } in host_perf::read_runs(&json) {
+                    let row = (name.to_string(), msgs_per_sec, text.to_string());
+                    match baseline_best.iter_mut().find(|(n, ..)| n == name) {
+                        Some(best) if msgs_per_sec > best.1 => *best = row,
+                        Some(_) => {}
+                        None => baseline_best.push(row),
                     }
                 }
                 run_suite(&mut runs);
@@ -378,22 +306,19 @@ fn main() {
         runs.push(out.result);
     }
 
-    // "before": the baseline binary's best rows (interleaved mode), or
-    // the *most recent* runs in the --compare file (its "after" array).
-    let baseline_rows: Vec<String> =
-        baseline_best.iter().flatten().map(|(_, obj)| format!("    {obj}")).collect();
-    let before: Option<String> = if baseline_rows.is_empty() {
-        compare.as_deref().and_then(extract_runs_array).map(str::to_string)
-    } else {
-        Some(format!("[\n{}\n  ]", baseline_rows.join(",\n")))
-    };
+    // The baseline binary's best rows (interleaved mode) for our suite
+    // rows, in suite order: the only rows both sides ran best-of-N.
+    let baseline: Vec<&(String, f64, String)> = runs[..workloads.len()]
+        .iter()
+        .filter_map(|r| baseline_best.iter().find(|(name, ..)| *name == r.name))
+        .collect();
     let rows: Vec<Vec<String>> = runs
         .iter()
         .map(|r| {
-            let speedup = before
-                .as_deref()
-                .and_then(|old| baseline_msgs_per_sec(old, &r.name))
-                .map(|b| format!("{:.2}x", r.msgs_per_sec / b))
+            let speedup = baseline
+                .iter()
+                .find(|(name, ..)| *name == r.name)
+                .map(|(_, b, _)| format!("{:.2}x", r.msgs_per_sec / b))
                 .unwrap_or_else(|| "-".to_string());
             vec![
                 r.name.clone(),
@@ -488,19 +413,18 @@ fn main() {
         );
     }
 
-    let after = host_perf::runs_to_json(&runs);
-    let metrics_head = metrics_path
-        .as_deref()
-        .map(|p| format!("\n  \"metrics_snapshot\": \"{p}\","))
-        .unwrap_or_default();
-    let head = format!(
-        "{{\n  \"bench\": \"host_throughput\",\n  \"host_cores\": {},\n  \"mode\": \"{mode}\",{traced_overhead}{metrics_head}",
-        host_perf::host_logical_cores()
-    );
-    let json = match before {
-        Some(before) => format!("{head}\n  \"before\": {before},\n  \"after\": {after}\n}}\n"),
-        None => format!("{head}\n  \"runs\": {after}\n}}\n"),
+    let baseline_json = if baseline.is_empty() {
+        String::new()
+    } else {
+        let body: Vec<String> = baseline.iter().map(|(.., text)| format!("    {text}")).collect();
+        format!("\n  \"baseline\": [\n{}\n  ],", body.join(",\n"))
     };
+    let json = format!(
+        "{{\n  \"bench\": \"host_throughput\",\n  \"host_cores\": {},\n  \"mode\": \"{mode}\",\
+         {traced_overhead}{baseline_json}\n  \"runs\": {}\n}}\n",
+        host_perf::host_logical_cores(),
+        host_perf::runs_to_json(&runs)
+    );
     fs::write(&out_path, &json).expect("write BENCH_throughput.json");
     println!("\nwrote {out_path}");
 

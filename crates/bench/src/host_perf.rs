@@ -170,10 +170,39 @@ impl ThroughputResult {
     }
 }
 
-/// Renders a run list as a JSON array.
+/// Renders a run list as a JSON array, one row object per line — the
+/// layout [`read_runs`] relies on.
 pub fn runs_to_json(runs: &[ThroughputResult]) -> String {
     let body: Vec<String> = runs.iter().map(|r| format!("    {}", r.to_json())).collect();
     format!("[\n{}\n  ]", body.join(",\n"))
+}
+
+/// One row of a `host_throughput` output, read back for comparison.
+#[derive(Debug)]
+pub struct RunRow<'a> {
+    /// The row's workload name.
+    pub name: &'a str,
+    /// The row's `msgs_per_sec`.
+    pub msgs_per_sec: f64,
+    /// The row's whole JSON object, verbatim.
+    pub text: &'a str,
+}
+
+/// Reads the `"runs"` array of a `host_throughput` output. Relies on
+/// [`runs_to_json`]'s layout (one row object per line) instead of
+/// matching brackets; a line that is not a well-formed row ends the read.
+pub fn read_runs(json: &str) -> Vec<RunRow<'_>> {
+    let Some(start) = json.find("\"runs\": [") else { return Vec::new() };
+    json[start..]
+        .lines()
+        .skip(1)
+        .map_while(|line| {
+            let text = line.trim().trim_end_matches(',');
+            let name = text.strip_prefix("{\"name\":\"")?.split('"').next()?;
+            let rate = text.split("\"msgs_per_sec\":").nth(1)?.split(',').next()?;
+            Some(RunRow { name, msgs_per_sec: rate.parse().ok()?, text })
+        })
+        .collect()
 }
 
 /// Logical cores the host exposes to this process (`1` when the OS will
@@ -468,6 +497,48 @@ mod tests {
         assert!(j.contains("\"stage_p50_p90_p99_ns\":null"), "untraced row has no stages: {j}");
         assert!(j.contains("\"request_p50_p90_p99_ns\":null"), "stream row: {j}");
         assert!(j.contains("\"nipt_evictions_refaults\":null"), "stream row: {j}");
+    }
+
+    #[test]
+    fn read_runs_reads_back_every_row() {
+        let row = |name: &str, threads, msgs_per_sec| ThroughputResult {
+            name: name.to_string(),
+            nodes: 8,
+            msg_bytes: 4096,
+            messages: 1000,
+            threads,
+            wall_s: 0.5,
+            msgs_per_sec,
+            mb_per_sec: 1.0,
+            digest: 0x1234,
+            commit: "abc1234".to_string(),
+            host_cores: 2,
+            allocs_per_msg: None,
+            phases: None,
+            stage_ns: None,
+            request_ns: None,
+            nipt_churn: None,
+        };
+        let serial = row("stream_4096b_8node", 0, 1.5e6);
+        let parallel = ThroughputResult {
+            phases: Some([3, 40, 5, 6, 7]),
+            ..row("stream_4096b_8node_t2", 2, 2.5e6)
+        };
+        let traced = ThroughputResult {
+            stage_ns: Some([[10, 20, 30]; STAGE_COUNT]),
+            ..row("stream_4096b_8node_t2_traced", 2, 3.5e6)
+        };
+        let runs = [serial, parallel, traced];
+        let json =
+            format!("{{\n  \"mode\": \"single_pass\",\n  \"runs\": {}\n}}\n", runs_to_json(&runs));
+        let read = read_runs(&json);
+        assert_eq!(read.len(), runs.len(), "{json}");
+        for (got, want) in read.iter().zip(&runs) {
+            assert_eq!(got.name, want.name);
+            assert_eq!(got.msgs_per_sec, want.msgs_per_sec);
+            assert_eq!(got.text, want.to_json());
+        }
+        assert!(read_runs("{}").is_empty(), "no runs array, no rows");
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub struct FnItem {
 pub struct Param {
     /// The binding name (`None` for destructuring patterns).
     pub name: Option<String>,
-    /// First path ident of the type (`&mut FabricShard` → `FabricShard`).
+    /// First path ident of the type (`&mut Fabric` → `Fabric`).
     pub ty: Option<String>,
 }
 

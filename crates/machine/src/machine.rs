@@ -499,12 +499,6 @@ impl<D: Device> Machine<D> {
         self.refs.inval_stores.incr();
     }
 
-    /// Splits the machine into (UDMA hardware, memory, device) for direct
-    /// hardware-level access in tests and the SHRIMP receive path.
-    pub fn hw_parts(&mut self) -> (&mut UdmaHw, &mut PhysMemory, &mut D) {
-        (&mut self.udma, &mut self.mem, &mut self.device)
-    }
-
     /// A kernel-driven (traditional) DMA transfer: the CPU blocks while the
     /// engine moves `nbytes` between physical memory at `mem_addr` and the
     /// device at `dev_addr`. Returns the transfer's duration. This is the

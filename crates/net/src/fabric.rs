@@ -1,20 +1,19 @@
 //! The mesh fabric: routing, link occupancy and in-order delivery.
 //!
-//! Since the engine unification there is exactly **one** delivery source:
-//! [`FabricShard`]. It carries a packet through three steps —
+//! There is exactly **one** fabric type and delivery source: [`Fabric`].
+//! It carries a packet through three steps —
 //!
-//! 1. [`FabricShard::inject`] — routing latency; stamps `link_ready`,
-//! 2. staging ([`FabricShard::stage`]) — the packet waits in a
+//! 1. [`Fabric::inject`] — routing latency; stamps `link_ready`,
+//! 2. staging ([`Fabric::stage`]) — the packet waits in a
 //!    deterministic merge queue keyed `(link_ready, tag)`, the tag being
 //!    the §7 priority class bit over the transfer ID,
-//! 3. [`FabricShard::commit_next`] — pops the earliest staged packet and
+//! 3. [`Fabric::commit_next`] — pops the earliest staged packet and
 //!    serializes it on the destination's inbound link, yielding its
 //!    arrival instant.
 //!
-//! [`Interconnect`] is a thin wrapper over one full-machine shard: the
-//! serial driver is the degenerate one-shard instantiation, and the
-//! parallel engine splits the same state into per-shard copies with
-//! [`Interconnect::split`] / [`Interconnect::merge`]. Both drain packets
+//! The serial driver drains one fabric covering the whole machine; the
+//! parallel engine splits it into per-shard parts with [`Fabric::split`]
+//! and takes them back with [`Fabric::merge`]. Both drain packets
 //! through the same `commit_next` — there is no second delivery loop.
 
 use shrimp_sim::{Counter, MergeQueue, SimDuration, SimTime, StatSet, XferId};
@@ -79,7 +78,7 @@ impl PacketRun {
 /// commit loop splits a run the moment another staged entry **for the
 /// same destination** would sort between its members (traffic bound
 /// elsewhere cannot observe the interleaving — see
-/// [`FabricShard::commit_next`]).
+/// [`Fabric::commit_next`]).
 #[derive(Debug)]
 pub enum Staged {
     /// A single packet.
@@ -102,8 +101,8 @@ pub enum Commit {
     },
     /// The leading `take` members of a run are committed; the caller
     /// delivers them (admitting each on the link via
-    /// [`FabricShard::admit`]) and hands any remainder back through
-    /// [`FabricShard::restage_run_tail`] — the payload is never cloned.
+    /// [`Fabric::admit`]) and hands any remainder back through
+    /// [`Fabric::restage_run_tail`] — the payload is never cloned.
     Run {
         /// When member 0 reached the destination's inbound link.
         link_ready: SimTime,
@@ -139,176 +138,6 @@ fn grid_cols(nodes: u16) -> u16 {
         c += 1;
     }
     c
-}
-
-/// A 2-D mesh interconnect with dimension-order routing distances.
-///
-/// Nodes are arranged on a near-square grid. A packet's latency is
-/// `hops × hop_latency + wire_bytes / bandwidth`, serialized on the
-/// destination's inbound link, which preserves point-to-point ordering —
-/// the property SHRIMP's deliberate update relies on.
-///
-/// `Interconnect` owns a single [`FabricShard`] covering the whole
-/// machine; every delivery — serial or parallel — goes through the
-/// shard's staged queue and [`FabricShard::commit_next`].
-#[derive(Debug)]
-pub struct Interconnect {
-    shard: FabricShard,
-}
-
-impl Interconnect {
-    /// A fabric connecting `nodes` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is zero.
-    pub fn new(nodes: u16, params: LinkParams) -> Self {
-        assert!(nodes > 0, "a fabric needs at least one node");
-        let cols = grid_cols(nodes);
-        Interconnect {
-            shard: FabricShard {
-                nodes,
-                cols,
-                params,
-                links: vec![LinkState::IDLE; nodes as usize],
-                staged: MergeQueue::new(),
-                dst_keys: DstIndex::new(nodes),
-                packets: Counter::new(),
-                payload_bytes: Counter::new(),
-                drops: Counter::new(),
-            },
-        }
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> u16 {
-        self.shard.nodes
-    }
-
-    /// Mesh hop count between two nodes (Manhattan distance + 1 for the
-    /// ejection router; 1 for self-sends, which still traverse the NI).
-    pub fn hops(&self, a: NodeId, b: NodeId) -> u64 {
-        self.shard.hops(a, b)
-    }
-
-    /// Injects `packet` at instant `now` and stages it for delivery;
-    /// returns the instant it reaches its destination's inbound link
-    /// (before serialization). Drain staged packets with
-    /// [`FabricShard::commit_next`] via [`Interconnect::shard_mut`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if either endpoint is outside the fabric.
-    pub fn send(&mut self, packet: Packet, now: SimTime) -> SimTime {
-        self.shard.send(packet, now)
-    }
-
-    /// The machine-wide delivery source (the serial engine drains it with
-    /// [`FabricShard::commit_next`], exactly as each parallel shard drains
-    /// its own).
-    pub fn shard_mut(&mut self) -> &mut FabricShard {
-        &mut self.shard
-    }
-
-    /// Packets staged but not yet committed.
-    pub fn in_flight_count(&self) -> usize {
-        self.shard.staged_len()
-    }
-
-    /// Fabric statistics.
-    pub fn stats(&self) -> StatSet {
-        self.shard.stats()
-    }
-
-    /// Wire bytes serialized on each node's inbound link, indexed by
-    /// destination node (payload plus header, counted at admit).
-    pub fn wire_bytes_per_link(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
-        self.shard.wire_bytes_per_link()
-    }
-
-    /// Packets the fabric itself discarded (distinct from delivery-level
-    /// bad-address drops); 0 on any run whose packets stay well-formed.
-    pub fn fabric_drops(&self) -> u64 {
-        self.shard.fabric_drops()
-    }
-
-    /// Per-destination index inserts that overflowed a full lane.
-    pub fn dst_lane_spills(&self) -> u64 {
-        self.shard.dst_lane_spills()
-    }
-
-    /// Staged-queue wheel metrics `(spills, reseeds, peak depth)`,
-    /// including totals absorbed from merged shards.
-    pub fn staged_wheel_metrics(&self) -> (u64, u64, u64) {
-        self.shard.staged_wheel_metrics()
-    }
-
-    /// Splits the fabric into `shards` independent shards for conservative
-    /// parallel execution. Each shard can compute routes for any pair (the
-    /// topology is immutable) and carries a copy of the per-destination
-    /// inbound-link state; a parallel engine must ensure each destination
-    /// node's link is driven by exactly one shard, then give the state back
-    /// with [`Interconnect::merge`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with packets in flight (the engine must start from a
-    /// quiet fabric) or a zero shard count.
-    pub fn split(&mut self, shards: usize) -> Vec<FabricShard> {
-        assert!(shards > 0, "need at least one shard");
-        assert!(self.shard.staged.is_empty(), "cannot split a fabric with packets in flight");
-        (0..shards)
-            .map(|_| FabricShard {
-                nodes: self.shard.nodes,
-                cols: self.shard.cols,
-                params: self.shard.params,
-                // Shards inherit link occupancy but start their byte
-                // tallies at zero: merge() sums the per-shard columns.
-                links: self
-                    .shard
-                    .links
-                    .iter()
-                    .map(|l| LinkState { busy_until: l.busy_until, wire_bytes: 0 })
-                    .collect(),
-                staged: MergeQueue::new(),
-                dst_keys: DstIndex::new(self.shard.nodes),
-                packets: Counter::new(),
-                payload_bytes: Counter::new(),
-                drops: Counter::new(),
-            })
-            .collect()
-    }
-
-    /// Reabsorbs shard state after a parallel run: node `i`'s inbound-link
-    /// occupancy is taken from shard `owner[i]`, and shard traffic counters
-    /// fold into the fabric's, so [`Interconnect::stats`] reports the same
-    /// totals a serial run would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `owner` names a missing shard, is the wrong length, or a
-    /// shard still holds staged packets (the engine must drain every shard
-    /// before reassembly).
-    pub fn merge(&mut self, shards: Vec<FabricShard>, owner: &[usize]) {
-        assert_eq!(owner.len(), self.shard.nodes as usize, "one owner per node");
-        for (node, &shard) in owner.iter().enumerate() {
-            self.shard.links[node].busy_until = shards[shard].links[node].busy_until;
-        }
-        for shard in shards {
-            assert!(shard.staged.is_empty(), "cannot merge a shard with staged packets");
-            self.shard.packets.add(shard.packets.get());
-            self.shard.payload_bytes.add(shard.payload_bytes.get());
-            self.shard.drops.add(shard.drops.get());
-            self.shard.dst_keys.spills += shard.dst_keys.spills;
-            self.shard.staged.absorb_metrics(&shard.staged);
-            // Each node's inbound link is driven by exactly one shard, so
-            // summing every shard's per-link column folds in the owner's
-            // traffic and zeros from everyone else.
-            for (total, part) in self.shard.links.iter_mut().zip(&shard.links) {
-                total.wire_bytes += part.wire_bytes;
-            }
-        }
-    }
 }
 
 /// Staged keys a destination lane can hold before spilling into the
@@ -416,7 +245,7 @@ impl DstIndex {
 
 /// One destination's inbound-link state: when the link frees up, plus
 /// the wire bytes (payload + header) it has serialized. Counted at
-/// [`FabricShard::admit`] — exactly once per delivered member — so the
+/// [`Fabric::admit`] — exactly once per delivered member — so the
 /// per-link byte totals are a pure function of the delivery timeline and
 /// identical at any shard count.
 #[derive(Debug, Clone, Copy)]
@@ -429,33 +258,39 @@ impl LinkState {
     const IDLE: LinkState = LinkState { busy_until: SimTime::ZERO, wire_bytes: 0 };
 }
 
-/// One shard's slice of the fabric — **the** delivery source of the
-/// machine. The serial [`Interconnect`] is one shard covering every node;
-/// the parallel engine runs N of them, one per worker.
+/// A 2-D mesh interconnect with dimension-order routing distances —
+/// **the** delivery source of the machine.
 ///
-/// A shard plays both fabric roles without touching shared state:
+/// Nodes are arranged on a near-square grid. A packet's latency is
+/// `hops × hop_latency + wire_bytes / bandwidth`, serialized on the
+/// destination's inbound link, which preserves point-to-point ordering —
+/// the property SHRIMP's deliberate update relies on.
 ///
-/// - **sender side** — [`FabricShard::inject`] stamps a packet and returns
+/// The serial driver drains one `Fabric` covering every node; the
+/// parallel engine [splits](Fabric::split) it into one part per worker.
+/// Each part plays both fabric roles without touching shared state:
+///
+/// - **sender side** — [`Fabric::inject`] stamps a packet and returns
 ///   when it reaches its destination's inbound link (routing latency only;
 ///   no shared queue),
-/// - **receiver side** — staged packets ([`FabricShard::stage`]) pop in
+/// - **receiver side** — staged packets ([`Fabric::stage`]) pop in
 ///   deterministic `(link_ready, id)` order through
-///   [`FabricShard::commit_next`], which serializes each on the
+///   [`Fabric::commit_next`], which serializes each on the
 ///   destination's inbound link and returns its arrival.
 ///
 /// Splitting the fabric this way moves every mutable per-destination
-/// structure (the link states, the staged queue) to the shard that
+/// structure (the link states, the staged queue) to the part that
 /// owns the destination node, which is what lets shards run on separate
 /// threads with packets exchanged only at epoch boundaries.
 #[derive(Debug)]
-pub struct FabricShard {
+pub struct Fabric {
     nodes: u16,
     cols: u16,
     params: LinkParams,
-    /// Per-destination inbound-link state; only indices this shard owns
-    /// are meaningful. Occupancy and the wire-byte tally live in one
-    /// struct so `admit` pays a single bounds check and touches a single
-    /// cache line per member.
+    /// Per-destination inbound-link state; in a split part only the
+    /// indices that part owns are meaningful. Occupancy and the wire-byte
+    /// tally live in one struct so `admit` pays a single bounds check and
+    /// touches a single cache line per member.
     links: Vec<LinkState>,
     /// Entries awaiting commit, keyed `(link_ready, merge tag)`: the pop
     /// order is a pure function of the staged set, never of insertion
@@ -470,16 +305,101 @@ pub struct FabricShard {
     packets: Counter,
     payload_bytes: Counter,
     /// Packets the fabric itself discarded (an out-of-fabric destination
-    /// reaching the ejection router). [`FabricShard::inject`] asserts both
+    /// reaching the ejection router). [`Fabric::inject`] asserts both
     /// endpoints, so this stays 0 unless a header is corrupted in flight;
     /// it is a distinct counter from the delivery layer's bad-address
     /// drops so conservation can attribute every undelivered packet.
     drops: Counter,
 }
 
-impl FabricShard {
-    /// Mesh hop count between two nodes (same topology as the parent
-    /// [`Interconnect::hops`]).
+impl Fabric {
+    /// A fabric connecting `nodes` nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` is zero.
+    pub fn new(nodes: u16, params: LinkParams) -> Self {
+        assert!(nodes > 0, "a fabric needs at least one node");
+        Fabric::with_links(nodes, grid_cols(nodes), params, vec![LinkState::IDLE; nodes as usize])
+    }
+
+    /// A fabric with the given topology and link state and nothing staged
+    /// or counted.
+    fn with_links(nodes: u16, cols: u16, params: LinkParams, links: Vec<LinkState>) -> Self {
+        Fabric {
+            nodes,
+            cols,
+            params,
+            links,
+            staged: MergeQueue::new(),
+            dst_keys: DstIndex::new(nodes),
+            packets: Counter::new(),
+            payload_bytes: Counter::new(),
+            drops: Counter::new(),
+        }
+    }
+
+    /// Splits the fabric into `parts` independent parts for conservative
+    /// parallel execution. Each part can compute routes for any pair (the
+    /// topology is immutable) and carries a copy of the per-destination
+    /// inbound-link state; a parallel engine must ensure each destination
+    /// node's link is driven by exactly one part, then give the state back
+    /// with [`Fabric::merge`].
+    ///
+    /// # Panics
+    ///
+    /// Panics with packets in flight (the engine must start from a
+    /// quiet fabric) or a zero part count.
+    pub fn split(&mut self, parts: usize) -> Vec<Fabric> {
+        assert!(parts > 0, "need at least one shard");
+        assert!(self.staged.is_empty(), "cannot split a fabric with packets in flight");
+        (0..parts)
+            .map(|_| {
+                // Parts inherit link occupancy but start their byte
+                // tallies at zero: merge() sums the per-part columns.
+                let links = self
+                    .links
+                    .iter()
+                    .map(|l| LinkState { busy_until: l.busy_until, wire_bytes: 0 })
+                    .collect();
+                Fabric::with_links(self.nodes, self.cols, self.params, links)
+            })
+            .collect()
+    }
+
+    /// Reabsorbs the parts of a [`Fabric::split`] after a parallel run:
+    /// node `i`'s inbound-link occupancy is taken from part `owner[i]`,
+    /// and every part's traffic counters fold into this fabric's, so
+    /// [`Fabric::stats`] reports the same totals a serial run would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `owner` names a missing part, is the wrong length, or a
+    /// part still holds staged packets (the engine must drain every part
+    /// before reassembly).
+    pub fn merge(&mut self, parts: Vec<Fabric>, owner: &[usize]) {
+        assert_eq!(owner.len(), self.nodes as usize, "one owner per node");
+        for (node, &part) in owner.iter().enumerate() {
+            self.links[node].busy_until = parts[part].links[node].busy_until;
+        }
+        for part in parts {
+            assert!(part.staged.is_empty(), "cannot merge a shard with staged packets");
+            self.packets.add(part.packets.get());
+            self.payload_bytes.add(part.payload_bytes.get());
+            self.drops.add(part.drops.get());
+            self.dst_keys.spills += part.dst_keys.spills;
+            self.staged.absorb_metrics(&part.staged);
+            // Each node's inbound link is driven by exactly one part, so
+            // summing every part's per-link column folds in the owner's
+            // traffic and zeros from everyone else.
+            for (total, p) in self.links.iter_mut().zip(&part.links) {
+                total.wire_bytes += p.wire_bytes;
+            }
+        }
+    }
+
+    /// Mesh hop count between two nodes (Manhattan distance + 1 for the
+    /// ejection router; 1 for self-sends, which still traverse the NI).
     pub fn hops(&self, a: NodeId, b: NodeId) -> u64 {
         let (ar, ac) = (a.raw() / self.cols, a.raw() % self.cols);
         let (br, bc) = (b.raw() / self.cols, b.raw() % self.cols);
@@ -525,17 +445,6 @@ impl FabricShard {
         self.staged.push(link_ready, tag, item);
     }
 
-    /// [`FabricShard::inject`] + [`FabricShard::stage`] in one step, keyed
-    /// by the packet's own correlation ID: the whole sender side of a
-    /// transfer. Returns the `link_ready` instant.
-    // lint:hot_path
-    pub fn send(&mut self, mut packet: Packet, now: SimTime) -> SimTime {
-        let link_ready = self.inject(&mut packet, now);
-        let tag = packet.merge_tag();
-        self.stage(link_ready, tag, Staged::One(packet));
-        link_ready
-    }
-
     /// Sender side of a whole run: stamps the template as sent at `now`
     /// (member `k` follows at `now + stride·k`), counts every member, and
     /// returns the instant member 0 reaches the destination's inbound
@@ -560,17 +469,6 @@ impl FabricShard {
         link_ready
     }
 
-    /// [`FabricShard::inject_run`] + staging in one step: the whole
-    /// sender side of a message train as one queue entry. Returns member
-    /// 0's `link_ready` instant.
-    // lint:hot_path
-    pub fn send_run(&mut self, mut run: PacketRun, now: SimTime) -> SimTime {
-        let link_ready = self.inject_run(&mut run, now);
-        let tag = run.template.merge_tag();
-        self.stage(link_ready, tag, Staged::Run(run));
-        link_ready
-    }
-
     /// Receiver side: pops the earliest staged entry whose `link_ready`
     /// is at or before `horizon` (`None` = no bound). A single packet is
     /// serialized on its destination's inbound link immediately
@@ -582,7 +480,7 @@ impl FabricShard {
     /// destination**. Allocation-free.
     ///
     /// Only the same-destination order matters: every effect of a commit
-    /// — inbound-link serialization ([`FabricShard::admit`]), the
+    /// — inbound-link serialization ([`Fabric::admit`]), the
     /// receive-side EISA DMA, the memory deposit, `last_delivery`, the
     /// passive clock — is keyed by the destination node, and trace export
     /// sorts spans by `(link_ready, id)` before rendering. Entries bound
@@ -592,7 +490,7 @@ impl FabricShard {
     /// so the timeline, digests and trace bytes are bit-identical to the
     /// unrelaxed drain — while a long run no longer splits (one pop and
     /// one restage per member) just because unrelated traffic shares the
-    /// shard's queue.
+    /// fabric's queue.
     ///
     /// Identical arithmetic at any shard count: admitting members in the
     /// per-destination `(link_ready, tag)` order reproduces the timeline
@@ -690,7 +588,7 @@ impl FabricShard {
         s
     }
 
-    /// The shard's minimum cross-node latency (one router hop): the
+    /// The minimum cross-node latency (one router hop): the
     /// conservative engine's lookahead. Any packet injected at or after
     /// instant `t` reaches its destination's inbound link strictly after
     /// `t` as long as this is positive.
@@ -738,14 +636,30 @@ mod tests {
         p
     }
 
+    /// [`Fabric::inject`] + [`Fabric::stage`] keyed by the packet's own
+    /// merge tag: the whole sender side of one transfer. Returns the
+    /// `link_ready` instant.
+    fn send(net: &mut Fabric, mut packet: Packet, now: SimTime) -> SimTime {
+        let link_ready = net.inject(&mut packet, now);
+        let tag = packet.merge_tag();
+        net.stage(link_ready, tag, Staged::One(packet));
+        link_ready
+    }
+
+    /// [`Fabric::inject_run`] + staging: a whole message train as one
+    /// queue entry. Returns member 0's `link_ready` instant.
+    fn send_run(net: &mut Fabric, mut run: PacketRun, now: SimTime) -> SimTime {
+        let link_ready = net.inject_run(&mut run, now);
+        let tag = run.template.merge_tag();
+        net.stage(link_ready, tag, Staged::Run(run));
+        link_ready
+    }
+
     /// Pops one commit and flattens it to per-member `(arrival, packet-ish)`
     /// tuples: run members are admitted on the link one by one exactly as
     /// the delivery core does, and any tail is restaged.
-    fn commit_flat(
-        shard: &mut FabricShard,
-        horizon: Option<SimTime>,
-    ) -> Vec<(SimTime, XferId, u8)> {
-        match shard.commit_next(horizon) {
+    fn commit_flat(net: &mut Fabric, horizon: Option<SimTime>) -> Vec<(SimTime, XferId, u8)> {
+        match net.commit_next(horizon) {
             None => Vec::new(),
             Some(Commit::One { arrival, packet, .. }) => {
                 vec![(arrival, packet.meta.id, packet.payload[0])]
@@ -754,24 +668,24 @@ mod tests {
                 let mut out = Vec::new();
                 for i in 0..take {
                     let lr = link_ready + run.stride() * u64::from(i);
-                    let arrival = shard.admit(&run.template, lr);
+                    let arrival = net.admit(&run.template, lr);
                     let id = XferId::new(
                         run.template.meta.id.node(),
                         run.template.meta.id.seq() + u64::from(i),
                     );
                     out.push((arrival, id, run.template.payload[0]));
                 }
-                shard.restage_run_tail(run, take);
+                net.restage_run_tail(run, take);
                 out
             }
         }
     }
 
     /// Drains every staged entry, returning `(arrival, payload[0])`.
-    fn drain(net: &mut Interconnect) -> Vec<(SimTime, u8)> {
+    fn drain(net: &mut Fabric) -> Vec<(SimTime, u8)> {
         let mut out = Vec::new();
         loop {
-            let batch = commit_flat(net.shard_mut(), None);
+            let batch = commit_flat(net, None);
             if batch.is_empty() {
                 break;
             }
@@ -782,7 +696,7 @@ mod tests {
 
     #[test]
     fn hops_on_2x2_mesh() {
-        let net = Interconnect::new(4, LinkParams::default());
+        let net = Fabric::new(4, LinkParams::default());
         assert_eq!(net.hops(NodeId::new(0), NodeId::new(0)), 1);
         assert_eq!(net.hops(NodeId::new(0), NodeId::new(1)), 2);
         assert_eq!(net.hops(NodeId::new(0), NodeId::new(3)), 3); // diagonal
@@ -790,9 +704,9 @@ mod tests {
 
     #[test]
     fn delivery_time_scales_with_distance() {
-        let mut net = Interconnect::new(4, LinkParams::default());
-        net.send(pkt(0, 1, 64, 0), SimTime::ZERO);
-        net.send(pkt(0, 3, 64, 1), SimTime::ZERO);
+        let mut net = Fabric::new(4, LinkParams::default());
+        send(&mut net, pkt(0, 1, 64, 0), SimTime::ZERO);
+        send(&mut net, pkt(0, 3, 64, 1), SimTime::ZERO);
         let times = drain(&mut net);
         let (near, far) = (times[0].0, times[1].0);
         assert!(far > near);
@@ -801,21 +715,21 @@ mod tests {
 
     #[test]
     fn destination_link_serializes() {
-        let mut net = Interconnect::new(4, LinkParams::default());
-        net.send(pkt(0, 1, 1000, 0), SimTime::ZERO);
-        net.send(pkt(2, 1, 1000, 0), SimTime::ZERO);
+        let mut net = Fabric::new(4, LinkParams::default());
+        send(&mut net, pkt(0, 1, 1000, 0), SimTime::ZERO);
+        send(&mut net, pkt(2, 1, 1000, 0), SimTime::ZERO);
         let times = drain(&mut net);
         assert!(times[1].0 > times[0].0, "second packet must queue behind the first");
     }
 
     #[test]
     fn point_to_point_ordering_preserved() {
-        let mut net = Interconnect::new(2, LinkParams::default());
+        let mut net = Fabric::new(2, LinkParams::default());
         let mut expected = Vec::new();
         for i in 0..5u8 {
             let mut p = pkt(0, 1, 32, u64::from(i));
             p.payload[0] = i;
-            net.send(p, SimTime::from_nanos(u64::from(i)));
+            send(&mut net, p, SimTime::from_nanos(u64::from(i)));
             expected.push(i);
         }
         let got: Vec<u8> = drain(&mut net).into_iter().map(|(_, b)| b).collect();
@@ -824,29 +738,28 @@ mod tests {
 
     #[test]
     fn commit_respects_horizon() {
-        let mut net = Interconnect::new(2, LinkParams::default());
-        let link_ready = net.send(pkt(0, 1, 64, 0), SimTime::ZERO);
-        let shard = net.shard_mut();
-        assert!(shard.commit_next(Some(link_ready - SimDuration::from_nanos(1))).is_none());
-        assert_eq!(net.in_flight_count(), 1);
-        assert_eq!(net.shard_mut().next_staged(), Some(link_ready));
-        assert!(net.shard_mut().commit_next(Some(link_ready)).is_some());
-        assert_eq!(net.in_flight_count(), 0);
+        let mut net = Fabric::new(2, LinkParams::default());
+        let link_ready = send(&mut net, pkt(0, 1, 64, 0), SimTime::ZERO);
+        assert!(net.commit_next(Some(link_ready - SimDuration::from_nanos(1))).is_none());
+        assert_eq!(net.staged_len(), 1);
+        assert_eq!(net.next_staged(), Some(link_ready));
+        assert!(net.commit_next(Some(link_ready)).is_some());
+        assert_eq!(net.staged_len(), 0);
     }
 
     #[test]
     fn commit_pops_one_at_a_time_in_staged_order() {
-        let mut net = Interconnect::new(2, LinkParams::default());
-        net.send(pkt(0, 1, 64, 0), SimTime::ZERO);
-        net.send(pkt(0, 1, 64, 1), SimTime::ZERO);
+        let mut net = Fabric::new(2, LinkParams::default());
+        send(&mut net, pkt(0, 1, 64, 0), SimTime::ZERO);
+        send(&mut net, pkt(0, 1, 64, 1), SimTime::ZERO);
         // Same link_ready: the correlation ID breaks the tie, so the
         // first-injected packet commits first and owns the link first.
-        let first = commit_flat(net.shard_mut(), None);
-        let second = commit_flat(net.shard_mut(), None);
+        let first = commit_flat(&mut net, None);
+        let second = commit_flat(&mut net, None);
         assert_eq!(first[0].1, XferId::new(0, 0));
         assert_eq!(second[0].1, XferId::new(0, 1));
         assert!(second[0].0 > first[0].0, "link serialization orders arrivals");
-        assert!(net.shard_mut().commit_next(None).is_none());
+        assert!(net.commit_next(None).is_none());
     }
 
     /// A run staged alongside the equivalent singles: identical arrival
@@ -858,23 +771,23 @@ mod tests {
         let base = SimTime::from_nanos(5_000);
 
         // Literal path: five singles, 20 µs apart.
-        let mut literal = Interconnect::new(4, LinkParams::default());
+        let mut literal = Fabric::new(4, LinkParams::default());
         for i in 0..5u64 {
-            literal.send(pkt(0, 1, 256, i), base + stride * i);
+            send(&mut literal, pkt(0, 1, 256, i), base + stride * i);
         }
         // Competing traffic from node 2 lands between members 1 and 2.
-        literal.send(pkt(2, 1, 64, 900), base + stride * 2);
+        send(&mut literal, pkt(2, 1, 64, 900), base + stride * 2);
         let lit = drain(&mut literal);
 
         // Run path: one descriptor plus the same competing single.
-        let mut batched = Interconnect::new(4, LinkParams::default());
+        let mut batched = Fabric::new(4, LinkParams::default());
         let run = PacketRun {
             template: pkt(0, 1, 256, 0),
             count: 5,
             stride_ns: stride.as_nanos() as u32,
         };
-        batched.shard_mut().send_run(run, base);
-        batched.send(pkt(2, 1, 64, 900), base + stride * 2);
+        send_run(&mut batched, run, base);
+        send(&mut batched, pkt(2, 1, 64, 900), base + stride * 2);
         let bat = drain(&mut batched);
 
         let lit_times: Vec<SimTime> = lit.iter().map(|&(at, _)| at).collect();
@@ -892,25 +805,25 @@ mod tests {
     fn cross_destination_traffic_does_not_split_a_run() {
         let stride = SimDuration::from_us(20.0);
         let base = SimTime::from_nanos(5_000);
-        let mut net = Interconnect::new(4, LinkParams::default());
+        let mut net = Fabric::new(4, LinkParams::default());
         let run = PacketRun {
             template: pkt(0, 1, 256, 0),
             count: 5,
             stride_ns: stride.as_nanos() as u32,
         };
-        net.shard_mut().send_run(run, base);
+        send_run(&mut net, run, base);
         // Key lands between members 1 and 2, but the destination differs.
-        net.send(pkt(2, 3, 64, 900), base + stride * 2);
+        send(&mut net, pkt(2, 3, 64, 900), base + stride * 2);
 
-        let first = commit_flat(net.shard_mut(), None);
+        let first = commit_flat(&mut net, None);
         assert_eq!(first.len(), 5, "unrelated traffic must not split the run");
 
         // Same scenario as singles: the per-destination arrivals match.
-        let mut literal = Interconnect::new(4, LinkParams::default());
+        let mut literal = Fabric::new(4, LinkParams::default());
         for i in 0..5u64 {
-            literal.send(pkt(0, 1, 256, i), base + stride * i);
+            send(&mut literal, pkt(0, 1, 256, i), base + stride * i);
         }
-        literal.send(pkt(2, 3, 64, 900), base + stride * 2);
+        send(&mut literal, pkt(2, 3, 64, 900), base + stride * 2);
         let mut lit: Vec<SimTime> = drain(&mut literal).into_iter().map(|(at, _)| at).collect();
         let mut bat: Vec<SimTime> = first.iter().map(|&(at, _, _)| at).collect();
         bat.extend(drain(&mut net).into_iter().map(|(at, _)| at));
@@ -924,10 +837,10 @@ mod tests {
     /// commits still drain in `(link_ready, id)` order.
     #[test]
     fn deep_same_destination_backlog_spills_and_drains_in_order() {
-        let mut net = Interconnect::new(2, LinkParams::default());
+        let mut net = Fabric::new(2, LinkParams::default());
         let n = (DST_LANE_CAP * 2 + 3) as u64;
         for i in 0..n {
-            net.send(pkt(0, 1, 16, n - 1 - i), SimTime::from_nanos((n - 1 - i) * 10));
+            send(&mut net, pkt(0, 1, 16, n - 1 - i), SimTime::from_nanos((n - 1 - i) * 10));
         }
         let drained = drain(&mut net);
         assert_eq!(drained.len(), n as usize);
@@ -940,25 +853,25 @@ mod tests {
     #[test]
     fn run_commit_respects_horizon() {
         let stride = SimDuration::from_us(10.0);
-        let mut net = Interconnect::new(2, LinkParams::default());
+        let mut net = Fabric::new(2, LinkParams::default());
         let run =
             PacketRun { template: pkt(0, 1, 64, 0), count: 4, stride_ns: stride.as_nanos() as u32 };
-        let base = net.shard_mut().send_run(run, SimTime::ZERO);
+        let base = send_run(&mut net, run, SimTime::ZERO);
 
         // Horizon covers members 0 and 1 only.
         let horizon = base + stride;
-        let first = commit_flat(net.shard_mut(), Some(horizon));
+        let first = commit_flat(&mut net, Some(horizon));
         assert_eq!(first.len(), 2, "two members due at the horizon");
         assert_eq!(first[0].1, XferId::new(0, 0));
         assert_eq!(first[1].1, XferId::new(0, 1));
-        assert_eq!(net.shard_mut().next_staged(), Some(base + stride * 2));
-        assert!(net.shard_mut().commit_next(Some(horizon)).is_none());
+        assert_eq!(net.next_staged(), Some(base + stride * 2));
+        assert!(net.commit_next(Some(horizon)).is_none());
 
-        let rest = commit_flat(net.shard_mut(), None);
+        let rest = commit_flat(&mut net, None);
         assert_eq!(rest.len(), 2, "the restaged tail commits as one run");
         assert_eq!(rest[0].1, XferId::new(0, 2));
         assert_eq!(rest[1].1, XferId::new(0, 3));
-        assert_eq!(net.in_flight_count(), 0);
+        assert_eq!(net.staged_len(), 0);
     }
 
     /// §7 arbitration: a system packet staged at the same `link_ready`
@@ -967,14 +880,14 @@ mod tests {
     #[test]
     fn system_class_wins_equal_time_arbitration() {
         use crate::PacketClass;
-        let mut net = Interconnect::new(2, LinkParams::default());
+        let mut net = Fabric::new(2, LinkParams::default());
         let at = SimTime::from_nanos(100);
-        net.send(pkt(0, 1, 64, 0), at);
-        net.send(pkt(0, 1, 64, 1), at);
+        send(&mut net, pkt(0, 1, 64, 0), at);
+        send(&mut net, pkt(0, 1, 64, 1), at);
         let mut sys = pkt(0, 1, 64, 2);
         sys.class = PacketClass::System;
-        net.send(sys, at);
-        let order: Vec<u64> = std::iter::from_fn(|| commit_flat(net.shard_mut(), None).pop())
+        send(&mut net, sys, at);
+        let order: Vec<u64> = std::iter::from_fn(|| commit_flat(&mut net, None).pop())
             .map(|(_, id, _)| id.seq())
             .collect();
         assert_eq!(order, [2, 0, 1], "system first, then user in XferId order");
@@ -987,17 +900,17 @@ mod tests {
     fn system_single_preempts_a_user_run_at_equal_time() {
         use crate::PacketClass;
         let stride = SimDuration::from_us(10.0);
-        let mut net = Interconnect::new(4, LinkParams::default());
+        let mut net = Fabric::new(4, LinkParams::default());
         let run =
             PacketRun { template: pkt(0, 1, 64, 0), count: 3, stride_ns: stride.as_nanos() as u32 };
-        net.shard_mut().send_run(run, SimTime::ZERO);
+        send_run(&mut net, run, SimTime::ZERO);
         let mut sys = pkt(3, 1, 64, 900);
         sys.class = PacketClass::System;
         // Nodes 0 and 3 are both two hops from node 1 on the 2×2 mesh, so
         // sending at the same instant lands both at the same link_ready.
-        net.send(sys, SimTime::ZERO);
+        send(&mut net, sys, SimTime::ZERO);
         let order: Vec<XferId> = std::iter::from_fn(|| {
-            let batch = commit_flat(net.shard_mut(), None);
+            let batch = commit_flat(&mut net, None);
             (!batch.is_empty()).then_some(batch)
         })
         .flatten()
@@ -1012,19 +925,19 @@ mod tests {
 
     #[test]
     fn stats_count_traffic() {
-        let mut net = Interconnect::new(2, LinkParams::default());
-        net.send(pkt(0, 1, 10, 0), SimTime::ZERO);
-        net.send(pkt(1, 0, 20, 0), SimTime::ZERO);
+        let mut net = Fabric::new(2, LinkParams::default());
+        send(&mut net, pkt(0, 1, 10, 0), SimTime::ZERO);
+        send(&mut net, pkt(1, 0, 20, 0), SimTime::ZERO);
         assert_eq!(net.stats().get("packets"), 2);
         assert_eq!(net.stats().get("payload_bytes"), 30);
     }
 
     #[test]
     fn wire_bytes_counted_per_destination_link() {
-        let mut net = Interconnect::new(4, LinkParams::default());
-        net.send(pkt(0, 1, 100, 0), SimTime::ZERO);
-        net.send(pkt(2, 1, 50, 0), SimTime::ZERO);
-        net.send(pkt(0, 3, 10, 1), SimTime::ZERO);
+        let mut net = Fabric::new(4, LinkParams::default());
+        send(&mut net, pkt(0, 1, 100, 0), SimTime::ZERO);
+        send(&mut net, pkt(2, 1, 50, 0), SimTime::ZERO);
+        send(&mut net, pkt(0, 3, 10, 1), SimTime::ZERO);
         drain(&mut net);
         let per_link: Vec<u64> = net.wire_bytes_per_link().collect();
         let hdr = pkt(0, 1, 0, 0).wire_bytes();
@@ -1039,19 +952,18 @@ mod tests {
         // `inject` asserts endpoints, so only a header corrupted after
         // injection can reach `admit` out of range; the fabric counts the
         // discard instead of unwinding mid-drain.
-        let mut net = Interconnect::new(2, LinkParams::default());
-        let shard = net.shard_mut();
-        shard.admit(&pkt(0, 7, 16, 0), SimTime::ZERO);
-        assert_eq!(shard.fabric_drops(), 1);
-        assert_eq!(shard.wire_bytes_per_link().collect::<Vec<u64>>(), [0, 0]);
+        let mut net = Fabric::new(2, LinkParams::default());
+        net.admit(&pkt(0, 7, 16, 0), SimTime::ZERO);
+        assert_eq!(net.fabric_drops(), 1);
+        assert_eq!(net.wire_bytes_per_link().collect::<Vec<u64>>(), [0, 0]);
     }
 
     #[test]
     fn dst_lane_overflow_is_counted() {
-        let mut net = Interconnect::new(2, LinkParams::default());
+        let mut net = Fabric::new(2, LinkParams::default());
         let n = (DST_LANE_CAP + 4) as u64;
         for i in 0..n {
-            net.send(pkt(0, 1, 16, i), SimTime::from_nanos(i * 10));
+            send(&mut net, pkt(0, 1, 16, i), SimTime::from_nanos(i * 10));
         }
         assert_eq!(net.dst_lane_spills(), 4);
         drain(&mut net);
@@ -1060,8 +972,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "not in fabric")]
     fn out_of_fabric_send_panics() {
-        let mut net = Interconnect::new(2, LinkParams::default());
-        net.send(pkt(0, 5, 1, 0), SimTime::ZERO);
+        let mut net = Fabric::new(2, LinkParams::default());
+        send(&mut net, pkt(0, 5, 1, 0), SimTime::ZERO);
     }
 
     #[test]
@@ -1094,7 +1006,7 @@ mod tests {
         // in both directions, and self-sends still cross the ejection
         // router once.
         for nodes in [3u16, 5, 7, 64, 1000] {
-            let net = Interconnect::new(nodes, LinkParams::default());
+            let net = Fabric::new(nodes, LinkParams::default());
             for a in 0..nodes {
                 for b in 0..nodes {
                     let ab = net.hops(NodeId::new(a), NodeId::new(b));
@@ -1108,76 +1020,75 @@ mod tests {
 
     #[test]
     fn split_shards_reproduce_the_one_shard_timeline() {
-        // The same packet sequence through the one-shard Interconnect and
-        // through split shards (staged with the same keys, committed in
-        // the same order) must produce identical arrival times and
-        // identical post-run link state.
-        let sequence: [(u16, u16, usize, u64); 5] =
-            [(0, 1, 1000, 0), (2, 1, 1000, 0), (3, 1, 64, 100), (0, 3, 256, 200), (1, 3, 64, 200)];
-
-        let mut serial = Interconnect::new(4, LinkParams::default());
-        for (i, &(s, d, bytes, at)) in sequence.iter().enumerate() {
-            serial.send(pkt(s, d, bytes, i as u64), SimTime::from_nanos(at));
-        }
-        let serial_times: Vec<SimTime> = std::iter::from_fn(|| {
-            let batch = commit_flat(serial.shard_mut(), None);
-            if batch.is_empty() {
-                None
-            } else {
-                Some(batch)
+        // The same packet sequence through one unsplit fabric and through
+        // split parts (staged with the same keys, committed in the same
+        // order) must produce identical arrival times, and the merged
+        // fabric identical link state, per-link bytes and counters. The
+        // owner tables follow the engine's block rule, even and uneven.
+        type Send = (u16, u16, usize, u64);
+        let four: &[Send] =
+            &[(0, 1, 1000, 0), (2, 1, 1000, 0), (3, 1, 64, 100), (0, 3, 256, 200), (1, 3, 64, 200)];
+        let eight: &[Send] = &[
+            (0, 1, 1000, 0),
+            (2, 1, 1000, 0),
+            (7, 4, 512, 0),
+            (5, 7, 128, 50),
+            (6, 2, 64, 50),
+            (3, 1, 64, 100),
+            (4, 6, 300, 120),
+            (0, 3, 256, 200),
+            (1, 3, 64, 200),
+        ];
+        let cases: [(u16, &[usize], &[Send]); 2] =
+            [(4, &[0, 0, 1, 1], four), (8, &[0, 0, 0, 1, 1, 1, 2, 2], eight)];
+        for (nodes, owner, sequence) in cases {
+            let mut serial = Fabric::new(nodes, LinkParams::default());
+            for (i, &(s, d, bytes, at)) in sequence.iter().enumerate() {
+                send(&mut serial, pkt(s, d, bytes, i as u64), SimTime::from_nanos(at));
             }
-        })
-        .flatten()
-        .map(|(at, _, _)| at)
-        .collect();
+            let mut serial_times: Vec<SimTime> =
+                drain(&mut serial).into_iter().map(|(at, _)| at).collect();
 
-        let mut net = Interconnect::new(4, LinkParams::default());
-        // Nodes 0..2 on shard 0, nodes 2..4 on shard 1.
-        let owner = [0usize, 0, 1, 1];
-        let mut shards = net.split(2);
-        for (i, &(s, d, bytes, at)) in sequence.iter().enumerate() {
-            let mut p = pkt(s, d, bytes, i as u64);
-            let ready = shards[owner[s as usize]].inject(&mut p, SimTime::from_nanos(at));
-            let tag = p.merge_tag();
-            shards[owner[d as usize]].stage(ready, tag, Staged::One(p));
-        }
-        let mut shard_times = Vec::new();
-        for shard in &mut shards {
-            loop {
-                let batch = commit_flat(shard, None);
-                if batch.is_empty() {
-                    break;
-                }
-                shard_times.extend(batch.into_iter().map(|(at, _, _)| at));
+            let mut net = Fabric::new(nodes, LinkParams::default());
+            let mut parts = net.split(owner.iter().max().unwrap() + 1);
+            for (i, &(s, d, bytes, at)) in sequence.iter().enumerate() {
+                let mut p = pkt(s, d, bytes, i as u64);
+                let ready = parts[owner[s as usize]].inject(&mut p, SimTime::from_nanos(at));
+                let tag = p.merge_tag();
+                parts[owner[d as usize]].stage(ready, tag, Staged::One(p));
             }
-        }
-        shard_times.sort_unstable();
-        let mut sorted_serial = serial_times.clone();
-        sorted_serial.sort_unstable();
-        assert_eq!(shard_times, sorted_serial);
-        net.merge(shards, &owner);
+            let mut part_times: Vec<SimTime> =
+                parts.iter_mut().flat_map(drain).map(|(at, _)| at).collect();
+            part_times.sort_unstable();
+            serial_times.sort_unstable();
+            assert_eq!(part_times, serial_times, "{nodes} nodes: arrivals");
+            net.merge(parts, owner);
 
-        assert_eq!(net.stats().get("packets"), serial.stats().get("packets"));
-        assert_eq!(net.stats().get("payload_bytes"), serial.stats().get("payload_bytes"));
-        // Follow-up traffic sees identical link occupancy.
-        serial.send(pkt(0, 1, 64, 10), SimTime::from_nanos(300));
-        net.send(pkt(0, 1, 64, 10), SimTime::from_nanos(300));
-        let a = commit_flat(serial.shard_mut(), None).first().map(|&(at, _, _)| at);
-        let b = commit_flat(net.shard_mut(), None).first().map(|&(at, _, _)| at);
-        assert_eq!(a, b, "merged link state must match the one-shard fabric");
+            assert_eq!(net.stats(), serial.stats(), "{nodes} nodes: merged counters");
+            assert!(
+                net.wire_bytes_per_link().eq(serial.wire_bytes_per_link()),
+                "{nodes} nodes: merged per-link wire bytes"
+            );
+            // Follow-up traffic sees identical link occupancy.
+            send(&mut serial, pkt(0, 1, 64, 10), SimTime::from_nanos(300));
+            send(&mut net, pkt(0, 1, 64, 10), SimTime::from_nanos(300));
+            let a = commit_flat(&mut serial, None).first().map(|&(at, _, _)| at);
+            let b = commit_flat(&mut net, None).first().map(|&(at, _, _)| at);
+            assert_eq!(a, b, "{nodes} nodes: merged link state must match the unsplit fabric");
+        }
     }
 
     #[test]
     #[should_panic(expected = "packets in flight")]
     fn split_requires_quiet_fabric() {
-        let mut net = Interconnect::new(2, LinkParams::default());
-        net.send(pkt(0, 1, 64, 0), SimTime::ZERO);
+        let mut net = Fabric::new(2, LinkParams::default());
+        send(&mut net, pkt(0, 1, 64, 0), SimTime::ZERO);
         let _ = net.split(2);
     }
 
     #[test]
     fn shard_lookahead_is_hop_latency() {
-        let mut net = Interconnect::new(2, LinkParams::default());
+        let mut net = Fabric::new(2, LinkParams::default());
         let shards = net.split(1);
         assert_eq!(shards[0].lookahead(), LinkParams::default().hop_latency);
         assert!(shards[0].lookahead() > SimDuration::ZERO, "conservative sync needs lookahead");

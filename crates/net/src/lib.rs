@@ -12,15 +12,14 @@
 //!
 //! ```
 //! use shrimp_mem::PhysAddr;
-//! use shrimp_net::{Interconnect, LinkParams, NodeId, Packet};
+//! use shrimp_net::{Commit, Fabric, LinkParams, NodeId, Packet, Staged};
 //! use shrimp_sim::SimTime;
 //!
-//! let mut net = Interconnect::new(4, LinkParams::default());
-//! let p = Packet::new(NodeId::new(0), NodeId::new(3), PhysAddr::new(0x1000), vec![1, 2, 3]);
-//! let link_ready = net.send(p, SimTime::ZERO);
-//! let Some(shrimp_net::Commit::One { link_ready: ready, arrival, packet }) =
-//!     net.shard_mut().commit_next(None)
-//! else {
+//! let mut net = Fabric::new(4, LinkParams::default());
+//! let mut p = Packet::new(NodeId::new(0), NodeId::new(3), PhysAddr::new(0x1000), vec![1, 2, 3]);
+//! let link_ready = net.inject(&mut p, SimTime::ZERO);
+//! net.stage(link_ready, p.merge_tag(), Staged::One(p));
+//! let Some(Commit::One { link_ready: ready, arrival, packet }) = net.commit_next(None) else {
 //!     panic!("one packet staged");
 //! };
 //! assert_eq!(ready, link_ready);
@@ -34,5 +33,5 @@
 mod fabric;
 mod packet;
 
-pub use fabric::{Commit, FabricShard, Interconnect, LinkParams, PacketRun, Staged};
+pub use fabric::{Commit, Fabric, LinkParams, PacketRun, Staged};
 pub use packet::{NodeId, Packet, PacketClass};

@@ -30,7 +30,7 @@ impl fmt::Display for NodeId {
 /// The §7 two-priority packet class. SHRIMP's network interface keeps
 /// "two outgoing queues ... one for system packets and one for user
 /// packets", with system packets taking priority at the network. The
-/// fabric arbitrates at [`crate::FabricShard::commit_next`]: among staged
+/// fabric arbitrates at [`crate::Fabric::commit_next`]: among staged
 /// entries whose `link_ready` ties, system-class packets pop first.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PacketClass {

@@ -11,12 +11,12 @@
 //!   replay of the steady-state tail, and the fabric injection of every
 //!   packet and run;
 //! - [`DeliveryCore`] is the receiver half: it drains a
-//!   [`FabricShard`] in `(link_ready, id)` order and applies each
+//!   [`Fabric`] in `(link_ready, id)` order and applies each
 //!   delivery.
 //!
 //! Both entry points run this code. The serial driver
 //! ([`Multicomputer::send_burst`] and friends) runs one executor and one
-//! core over one machine-wide [`FabricShard`]; the sharded engine
+//! core over one machine-wide [`Fabric`]; the sharded engine
 //! ([`Multicomputer::run`]) runs one of each per shard. The two differ
 //! only in their [`TrainHost`]: where staged entries go and when they
 //! commit. The serial host stages straight into the machine-wide fabric
@@ -36,7 +36,7 @@
 //! [`Multicomputer::send_burst`]: crate::Multicomputer::send_burst
 //! [`Multicomputer::run`]: crate::Multicomputer::run
 
-use shrimp_net::{Commit, FabricShard, Packet, PacketClass, PacketRun, Staged};
+use shrimp_net::{Commit, Fabric, Packet, PacketClass, PacketRun, Staged};
 use shrimp_os::{Trap, UdmaXferResult};
 use shrimp_sim::{CostModel, FlightRecorder, SimDuration, SimTime, SpanRecord};
 
@@ -178,8 +178,8 @@ impl Executor {
         node: &mut ShrimpNode,
         tracing: bool,
         class: PacketClass,
-        fabric: &mut FabricShard,
-        mut sink: impl FnMut(&mut FabricShard, SimTime, u64, Staged),
+        fabric: &mut Fabric,
+        mut sink: impl FnMut(&mut Fabric, SimTime, u64, Staged),
     ) {
         node.drain_nic(tracing, &mut self.outbox);
         for out in self.outbox.drain(..) {
@@ -295,13 +295,13 @@ impl DeliveryCore {
     /// Commits every staged entry with `link_ready` at or before
     /// `horizon` (`None` = drain everything), in the fabric's
     /// deterministic per-destination `(link_ready, id)` order (see
-    /// [`FabricShard::commit_next`]): **the** delivery drain loop. A single packet delivers one at a time; a run's committed
+    /// [`Fabric::commit_next`]): **the** delivery drain loop. A single packet delivers one at a time; a run's committed
     /// prefix delivers under one dispatch — one horizon check and one
     /// lane lookup cover the whole prefix. Allocation-free.
     // lint:hot_path
     pub fn commit_due<L: LaneMap + ?Sized>(
         &mut self,
-        fabric: &mut FabricShard,
+        fabric: &mut Fabric,
         lanes: &mut L,
         horizon: Option<SimTime>,
     ) {
@@ -327,7 +327,7 @@ impl DeliveryCore {
     // lint:hot_path
     fn deliver_run<L: LaneMap + ?Sized>(
         &mut self,
-        fabric: &mut FabricShard,
+        fabric: &mut Fabric,
         lanes: &mut L,
         mut run: PacketRun,
         take: u32,

@@ -6,7 +6,7 @@ use std::fmt;
 
 use shrimp_machine::MachineConfig;
 use shrimp_mem::{PhysAddr, VirtAddr, PAGE_SIZE};
-use shrimp_net::{FabricShard, Interconnect, LinkParams, NodeId, PacketClass};
+use shrimp_net::{Fabric, LinkParams, NodeId, PacketClass};
 use shrimp_os::{NodeConfig, Pid, Trap, UdmaXferResult};
 use shrimp_sim::{FlightRecorder, MetricId, MetricSet, SimTime, SpanRecord, Stage, StatSet};
 
@@ -93,7 +93,7 @@ impl From<Trap> for ShrimpError {
 pub struct Multicomputer {
     /// Every node with its receive-side state (`engine::Lane`).
     pub(crate) lanes: Vec<Lane>,
-    pub(crate) fabric: Interconnect,
+    pub(crate) fabric: Fabric,
     /// The single receive-side delivery implementation, serial instance.
     pub(crate) core: DeliveryCore,
     /// The single sender-side implementation, serial instance. Its
@@ -128,7 +128,7 @@ impl Multicomputer {
             .collect();
         Multicomputer {
             lanes,
-            fabric: Interconnect::new(n, config.link),
+            fabric: Fabric::new(n, config.link),
             core: DeliveryCore::new(
                 config.passive_receivers,
                 FlightRecorder::new(Self::TRACE_SPANS),
@@ -204,8 +204,8 @@ impl Multicomputer {
         &mut self.lanes[i].node
     }
 
-    /// The interconnect (statistics inspection).
-    pub fn fabric(&self) -> &Interconnect {
+    /// The machine-wide fabric (statistics inspection).
+    pub fn fabric(&self) -> &Fabric {
         &self.fabric
     }
 
@@ -670,7 +670,7 @@ impl Multicomputer {
         let op = SendOp { pid, src_va, dev_page, dev_off, nbytes, class: PacketClass::User };
         let mut host = Serial {
             lanes: &mut self.lanes,
-            fabric: self.fabric.shard_mut(),
+            fabric: &mut self.fabric,
             core: &mut self.core,
             sender: i,
         };
@@ -761,7 +761,7 @@ impl Multicomputer {
         // No train is running, so the sender index is never consulted.
         let mut host = Serial {
             lanes: &mut self.lanes,
-            fabric: self.fabric.shard_mut(),
+            fabric: &mut self.fabric,
             core: &mut self.core,
             sender: 0,
         };
@@ -789,7 +789,7 @@ impl Multicomputer {
     pub fn run_until_quiet(&mut self) {
         loop {
             self.propagate();
-            let pending = self.fabric.in_flight_count()
+            let pending = self.fabric.staged_len()
                 + self
                     .lanes
                     .iter()
@@ -814,7 +814,7 @@ impl Multicomputer {
 /// machine-wide fabric and delivery core.
 struct Serial<'a> {
     lanes: &'a mut [Lane],
-    fabric: &'a mut FabricShard,
+    fabric: &'a mut Fabric,
     core: &'a mut DeliveryCore,
     sender: usize,
 }
@@ -832,7 +832,7 @@ impl TrainHost for Serial<'_> {
     fn flush(&mut self, tx: &mut Executor, class: PacketClass) {
         let tracing = self.core.tracing();
         for lane in self.lanes.iter_mut() {
-            tx.drain(&mut lane.node, tracing, class, self.fabric, FabricShard::stage);
+            tx.drain(&mut lane.node, tracing, class, self.fabric, Fabric::stage);
         }
         self.core.commit_due(self.fabric, self.lanes, None);
     }

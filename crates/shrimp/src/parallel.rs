@@ -9,7 +9,7 @@
 //!
 //! There is no separate parallel send or delivery implementation: each
 //! shard owns an `Executor` (the send → calibrate → replay → stage
-//! sequence), a [`FabricShard`] (the staged-packet source) and a
+//! sequence), its part of the split [`Fabric`] (the staged-packet source) and a
 //! `DeliveryCore` (the receive-side EISA DMA apply) — the same three
 //! pieces the serial driver ([`Multicomputer::send_burst`],
 //! [`Multicomputer::propagate`]) runs over the whole machine. What a
@@ -24,7 +24,7 @@
 //!    to `K ·` [`CHUNK`] sends, where `K` is the crossing's
 //!    windows-per-barrier count: `K` lookahead windows' worth of work
 //!    paid for with *one* barrier crossing (see [`WindowSchedule`]).
-//!    Outgoing packets are injected into the shard's [`FabricShard`]
+//!    Outgoing packets are injected into the shard's [`Fabric`] part
 //!    (routing latency only) and posted to the receiving shard's mailbox
 //!    keyed `(link_ready, transfer id)`. The shard then publishes a
 //!    bound: the minimum clock of its unfinished nodes.
@@ -51,7 +51,7 @@
 //! not otherwise (see `DESIGN.md` §6b).
 
 use shrimp_mem::VirtAddr;
-use shrimp_net::{FabricShard, PacketClass, Staged};
+use shrimp_net::{Fabric, PacketClass, Staged};
 use shrimp_os::Pid;
 use shrimp_sim::{ExchangeGrid, FlightRecorder, Histogram, SimTime, SpinBarrier, TimeFrontier};
 
@@ -319,7 +319,7 @@ impl LaneMap for Block<'_> {
 /// every injected entry into the batch for its destination's shard.
 struct ShardHost<'a> {
     lane: &'a mut Lane,
-    fabric: &'a mut FabricShard,
+    fabric: &'a mut Fabric,
     map: &'a ShardMap,
     staging: &'a mut [Vec<Flit>],
     posted_min: &'a mut Option<SimTime>,
@@ -363,7 +363,7 @@ struct Shard {
     /// The block of nodes [`ShardMap::block`] gives this shard, in node
     /// order.
     nodes: Vec<ShardNode>,
-    fabric: FabricShard,
+    fabric: Fabric,
     /// The receive-side delivery implementation — the same code the
     /// serial driver runs, bounded here by the epoch horizon.
     core: DeliveryCore,

@@ -203,12 +203,10 @@ impl TrafficProgram for NullProgram {
     }
 }
 
-/// A request/response client: issues `requests` identical requests and
-/// matches each reply by its landing address. Closed-loop by default
-/// (one outstanding request; the reply triggers the next), or open-loop
-/// (`pipeline = true`: every request issued on the initial step,
-/// replies matched first-in-first-out). Request latency — issue instant
-/// to reply EISA-DMA completion — lands in a [`Histogram`].
+/// A closed-loop request/response client: issues `requests` identical
+/// requests, one outstanding at a time (the reply triggers the next), and
+/// matches each reply by its landing address. Request latency — issue
+/// instant to reply EISA-DMA completion — lands in a [`Histogram`].
 #[derive(Debug)]
 pub struct RpcClientProgram {
     /// The request send, reissued verbatim for every request.
@@ -219,13 +217,10 @@ pub struct RpcClientProgram {
     reply_paddr: PhysAddr,
     /// Length of the reply region.
     reply_bytes: u64,
-    /// Open loop when true: all requests up front.
-    pipeline: bool,
     issued: usize,
     completed: usize,
-    /// Issue instants of not-yet-answered requests, oldest first
-    /// (closed-loop keeps at most one).
-    in_flight: std::collections::VecDeque<SimTime>,
+    /// Issue instant of the outstanding request, if any.
+    in_flight: Option<SimTime>,
     latency: Histogram,
 }
 
@@ -242,25 +237,10 @@ impl RpcClientProgram {
             requests,
             reply_paddr,
             reply_bytes,
-            pipeline: false,
             issued: 0,
             completed: 0,
-            in_flight: std::collections::VecDeque::with_capacity(1),
+            in_flight: None,
             latency: Histogram::new(),
-        }
-    }
-
-    /// An open-loop client: every request issued on the initial step.
-    pub fn open_loop(
-        request: SendOp,
-        requests: usize,
-        reply_paddr: PhysAddr,
-        reply_bytes: u64,
-    ) -> Self {
-        RpcClientProgram {
-            pipeline: true,
-            in_flight: std::collections::VecDeque::with_capacity(requests),
-            ..Self::closed_loop(request, requests, reply_paddr, reply_bytes)
         }
     }
 
@@ -283,11 +263,7 @@ impl RpcClientProgram {
 
 impl TrafficProgram for RpcClientProgram {
     fn planned_hint(&self) -> usize {
-        if self.pipeline {
-            0
-        } else {
-            self.requests.saturating_sub(1)
-        }
+        self.requests.saturating_sub(1)
     }
 
     fn step(
@@ -298,21 +274,15 @@ impl TrafficProgram for RpcClientProgram {
     ) -> Result<(), Trap> {
         for ev in inbox {
             if self.is_reply(ev) {
-                if let Some(issued_at) = self.in_flight.pop_front() {
+                if let Some(issued_at) = self.in_flight.take() {
                     self.latency.record(ev.done.saturating_duration_since(issued_at).as_nanos());
                     self.completed += 1;
                 }
             }
         }
-        let now = node.os().machine().now();
-        let batch = if self.pipeline {
-            self.requests - self.issued
-        } else {
-            usize::from(self.in_flight.is_empty() && self.issued < self.requests)
-        };
-        for _ in 0..batch {
+        if self.in_flight.is_none() && self.issued < self.requests {
             out.push(self.request);
-            self.in_flight.push_back(now);
+            self.in_flight = Some(node.os().machine().now());
             self.issued += 1;
         }
         Ok(())

@@ -12,8 +12,8 @@
 //!   barrier, sharded exchange, deterministic merge, commit horizon),
 //! - [`SplitMix64`] — a tiny, dependency-free deterministic RNG,
 //! - [`Counter`] / [`Histogram`] / [`StatSet`] — measurement plumbing,
-//! - [`MetricSet`] / [`Gauge`] — the metrics plane: typed-id registry
-//!   with deterministic sorted rendering and high-water gauges (see
+//! - [`MetricSet`] / [`Gauge`] — the metrics plane: typed-id snapshot
+//!   values with deterministic sorted rendering and high-water gauges (see
 //!   `DESIGN.md` §10),
 //! - [`FlightRecorder`] / [`SpanRecord`] / [`XferId`] — the transfer-level
 //!   flight recorder: typed five-stage spans with cross-node correlation
@@ -55,7 +55,7 @@ pub use buf::{BufPool, Payload};
 pub use clock::Clock;
 pub use cost::CostModel;
 pub use event::{Event, EventQueue, PopUntil};
-pub use metrics::{CounterId, Gauge, GaugeId, HistId, MetricId, MetricSet};
+pub use metrics::{Gauge, MetricId, MetricSet};
 pub use parallel::{merge_tag, ExchangeGrid, MergeQueue, SpinBarrier, TimeFrontier};
 pub use rng::SplitMix64;
 pub use span::{

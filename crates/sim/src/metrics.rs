@@ -1,5 +1,5 @@
-//! Machine-wide metrics plane: a fixed-capacity registry of counters,
-//! gauges (with high-water marks) and [`Histogram`]s, identified by typed
+//! Machine-wide metrics plane: a fixed-capacity snapshot of counter,
+//! gauge (with high-water mark) and [`Histogram`] values, identified by typed
 //! [`MetricId`]s (subsystem × name × optional node/link index), with
 //! deterministic sorted text/JSON rendering.
 //!
@@ -7,17 +7,14 @@
 //!
 //! - **Hot paths embed the primitives.** Subsystems keep plain
 //!   [`Counter`](crate::Counter)/[`Gauge`] fields inline and bump them with
-//!   plain stores (`// lint:hot_path`, A1-clean) — no registry lookup, no
+//!   plain stores (`// lint:hot_path`, A1-clean) — no lookup, no
 //!   indirection, no allocation on the data plane.
-//! - **Snapshots build the registry.** At export time (off the hot path) a
-//!   [`MetricSet`] is populated in a fixed deterministic order — node by
+//! - **Snapshots are values.** At export time (off the hot path) a
+//!   [`MetricSet`] is built from those fields' final values in a fixed
+//!   deterministic order — node by
 //!   node, link by link — then rendered sorted by [`MetricId`], so two
 //!   snapshots of the same simulated timeline are byte-identical however
 //!   many threads produced it.
-//!
-//! Pre-registered ids ([`CounterId`]/[`GaugeId`]/[`HistId`]) turn updates
-//! into plain indexed stores for callers that want to drive the registry
-//! directly; both modes meet in the same render path.
 
 use crate::stats::Histogram;
 use std::fmt::Write as _;
@@ -110,15 +107,6 @@ impl Gauge {
     pub fn high_water(self) -> u64 {
         self.high
     }
-
-    /// Folds another instance of the same gauge in: levels sum (total
-    /// across shards), high-water marks take the max.
-    pub fn merge(&mut self, other: Gauge) {
-        self.value = self.value.saturating_add(other.value);
-        if other.high > self.high {
-            self.high = other.high;
-        }
-    }
 }
 
 /// One registered metric's payload. The histogram variant dominates the
@@ -132,23 +120,11 @@ enum MetricValue {
     Hist(Histogram),
 }
 
-/// Typed handle to a registered counter: updates are plain indexed stores.
-#[derive(Clone, Copy, Debug)]
-pub struct CounterId(usize);
-
-/// Typed handle to a registered gauge.
-#[derive(Clone, Copy, Debug)]
-pub struct GaugeId(usize);
-
-/// Typed handle to a registered histogram.
-#[derive(Clone, Copy, Debug)]
-pub struct HistId(usize);
-
-/// A fixed-capacity registry of metrics with deterministic rendering.
+/// A fixed-capacity set of metric values with deterministic rendering.
 ///
 /// Capacity is fixed at construction ([`MetricSet::with_capacity`]);
-/// registration past it panics, so all registration belongs in setup
-/// code. Rendering sorts by [`MetricId`], making the output a pure
+/// registration past it panics. Each metric is registered once, with its
+/// value; the set is never updated in place. Rendering sorts by [`MetricId`], making the output a pure
 /// function of the registered values — byte-identical across thread
 /// counts whenever the values are.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -157,7 +133,7 @@ pub struct MetricSet {
 }
 
 impl MetricSet {
-    /// An empty registry that will hold up to `capacity` metrics without
+    /// An empty set that will hold up to `capacity` metrics without
     /// reallocating.
     pub fn with_capacity(capacity: usize) -> Self {
         MetricSet { entries: Vec::with_capacity(capacity) }
@@ -173,62 +149,27 @@ impl MetricSet {
         self.entries.is_empty()
     }
 
-    fn register(&mut self, id: MetricId, value: MetricValue) -> usize {
+    fn register(&mut self, id: MetricId, value: MetricValue) {
         assert!(
             self.entries.len() < self.entries.capacity() || self.entries.capacity() == 0,
             "MetricSet capacity exceeded: register all metrics at construction"
         );
         self.entries.push((id, value));
-        self.entries.len() - 1
     }
 
-    /// Registers a counter at `initial`; returns its update handle.
-    pub fn counter(&mut self, id: MetricId, initial: u64) -> CounterId {
-        CounterId(self.register(id, MetricValue::Counter(initial)))
+    /// Registers a counter with its value.
+    pub fn counter(&mut self, id: MetricId, value: u64) {
+        self.register(id, MetricValue::Counter(value));
     }
 
-    /// Registers a gauge; returns its update handle.
-    pub fn gauge(&mut self, id: MetricId, initial: Gauge) -> GaugeId {
-        GaugeId(self.register(id, MetricValue::Gauge(initial)))
+    /// Registers a gauge with its level and high-water mark.
+    pub fn gauge(&mut self, id: MetricId, value: Gauge) {
+        self.register(id, MetricValue::Gauge(value));
     }
 
-    /// Registers a histogram; returns its update handle.
-    pub fn hist(&mut self, id: MetricId, initial: Histogram) -> HistId {
-        HistId(self.register(id, MetricValue::Hist(initial)))
-    }
-
-    /// Bumps a pre-registered counter — a plain indexed store.
-    // lint:hot_path
-    #[inline]
-    pub fn counter_add(&mut self, id: CounterId, n: u64) {
-        // INVARIANT: CounterId is only minted by `counter`, which pushed
-        // a Counter entry at that index; entries are never removed.
-        match &mut self.entries[id.0].1 {
-            MetricValue::Counter(v) => *v = v.saturating_add(n),
-            _ => unreachable!("CounterId points at a counter"),
-        }
-    }
-
-    /// Mutable access to a pre-registered gauge — a plain indexed load.
-    // lint:hot_path
-    #[inline]
-    pub fn gauge_mut(&mut self, id: GaugeId) -> &mut Gauge {
-        // INVARIANT: GaugeId is only minted by `gauge`; see counter_add.
-        match &mut self.entries[id.0].1 {
-            MetricValue::Gauge(g) => g,
-            _ => unreachable!("GaugeId points at a gauge"),
-        }
-    }
-
-    /// Mutable access to a pre-registered histogram.
-    // lint:hot_path
-    #[inline]
-    pub fn hist_mut(&mut self, id: HistId) -> &mut Histogram {
-        // INVARIANT: HistId is only minted by `hist`; see counter_add.
-        match &mut self.entries[id.0].1 {
-            MetricValue::Hist(h) => h,
-            _ => unreachable!("HistId points at a histogram"),
-        }
+    /// Registers a histogram.
+    pub fn hist(&mut self, id: MetricId, value: Histogram) {
+        self.register(id, MetricValue::Hist(value));
     }
 
     /// The scalar view of a metric by identity: a counter's value or a
@@ -262,26 +203,6 @@ impl MetricSet {
             .iter()
             .find(|(id, _)| id.subsystem == subsystem && id.name == name && id.index == index)
             .map(|(_, v)| v)
-    }
-
-    /// Folds `other` into `self` by metric identity: counters and gauge
-    /// levels sum, gauge high-water marks take the max, histograms merge.
-    /// Metrics present only in `other` are appended (allocating — merging
-    /// belongs off the hot path).
-    pub fn merge_from(&mut self, other: &MetricSet) {
-        for (id, theirs) in &other.entries {
-            match self.entries.iter_mut().find(|(mine, _)| mine == id) {
-                Some((_, mine)) => match (mine, theirs) {
-                    (MetricValue::Counter(a), MetricValue::Counter(b)) => *a = a.saturating_add(*b),
-                    (MetricValue::Gauge(a), MetricValue::Gauge(b)) => a.merge(*b),
-                    (MetricValue::Hist(a), MetricValue::Hist(b)) => a.merge(b),
-                    _ => panic!("metric {id:?} registered with two different kinds"),
-                },
-                None => {
-                    self.entries.push((*id, theirs.clone()));
-                }
-            }
-        }
     }
 
     /// The interval view `self − base`: counters subtract (saturating, so
@@ -422,23 +343,30 @@ mod tests {
         g.decr();
         g.decr(); // saturates at zero
         assert_eq!((g.get(), g.high_water()), (0, 4));
-        let mut other = Gauge::new();
-        other.add(7);
-        other.sub(6);
-        g.merge(other);
-        assert_eq!((g.get(), g.high_water()), (1, 7), "levels sum, highs max");
+    }
+
+    /// A gauge at level `value` whose high-water mark is `high`.
+    fn gauge(high: u64, value: u64) -> Gauge {
+        let mut g = Gauge::new();
+        g.set(high);
+        g.set(value);
+        g
+    }
+
+    /// A histogram holding `values`.
+    fn hist(values: &[u64]) -> Histogram {
+        let mut h = Histogram::new();
+        values.iter().for_each(|&v| h.record(v));
+        h
     }
 
     #[test]
-    fn metric_set_registers_updates_and_renders_sorted() {
+    fn metric_set_registers_and_renders_sorted() {
         let mut m = MetricSet::with_capacity(4);
-        let c = m.counter(MetricId::scalar("zeta", "count"), 0);
-        let g = m.gauge(MetricId::indexed("alpha", "depth", 1), Gauge::new());
+        m.counter(MetricId::scalar("zeta", "count"), 5);
+        m.gauge(MetricId::indexed("alpha", "depth", 1), gauge(9, 9));
         m.gauge(MetricId::indexed("alpha", "depth", 0), Gauge::new());
-        let h = m.hist(MetricId::scalar("mid", "lat"), Histogram::new());
-        m.counter_add(c, 5);
-        m.gauge_mut(g).add(9);
-        m.hist_mut(h).record(100);
+        m.hist(MetricId::scalar("mid", "lat"), hist(&[100]));
         assert_eq!(m.get("zeta", "count", None), Some(5));
         assert_eq!(m.get("alpha", "depth", Some(1)), Some(9));
         assert_eq!(m.get_high_water("alpha", "depth", Some(1)), Some(9));
@@ -460,37 +388,16 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_counters_maxes_highs_and_appends_unknowns() {
-        let mut a = MetricSet::with_capacity(2);
-        let ca = a.counter(MetricId::scalar("s", "c"), 3);
-        a.gauge(MetricId::scalar("s", "g"), Gauge::new());
-        let _ = ca;
-        let mut b = MetricSet::with_capacity(3);
-        b.counter(MetricId::scalar("s", "c"), 4);
-        let gb = b.gauge(MetricId::scalar("s", "g"), Gauge::new());
-        b.gauge_mut(gb).add(11);
-        b.counter(MetricId::scalar("s", "only_b"), 1);
-        a.merge_from(&b);
-        assert_eq!(a.get("s", "c", None), Some(7));
-        assert_eq!(a.get("s", "g", None), Some(11));
-        assert_eq!(a.get_high_water("s", "g", None), Some(11));
-        assert_eq!(a.get("s", "only_b", None), Some(1));
-    }
-
-    #[test]
     fn delta_subtracts_counters_and_keeps_gauge_levels() {
-        let mut before = MetricSet::with_capacity(3);
-        before.counter(MetricId::scalar("s", "c"), 10);
-        let g0 = before.gauge(MetricId::scalar("s", "g"), Gauge::new());
-        before.gauge_mut(g0).add(2);
-        let h0 = before.hist(MetricId::scalar("s", "h"), Histogram::new());
-        before.hist_mut(h0).record(8);
-
-        let mut after = before.clone();
-        after.counter_add(CounterId(0), 5);
-        after.gauge_mut(GaugeId(1)).add(1);
-        after.hist_mut(HistId(2)).record(8);
-        after.hist_mut(HistId(2)).record(32);
+        let snapshot = |c, g, h: &[u64]| {
+            let mut m = MetricSet::with_capacity(3);
+            m.counter(MetricId::scalar("s", "c"), c);
+            m.gauge(MetricId::scalar("s", "g"), g);
+            m.hist(MetricId::scalar("s", "h"), hist(h));
+            m
+        };
+        let before = snapshot(10, gauge(2, 2), &[8]);
+        let after = snapshot(15, gauge(3, 3), &[8, 8, 32]);
 
         let d = after.delta(&before);
         assert_eq!(d.get("s", "c", None), Some(5));
