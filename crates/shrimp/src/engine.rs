@@ -22,10 +22,11 @@
 //! commit. The serial host stages straight into the machine-wide fabric
 //! and commits everything after every literal send; a shard stages into
 //! per-destination-shard batches and commits at epoch boundaries. The
-//! timelines therefore agree whenever no node receives during its own
-//! send sequence — a 2-node exchange where both nodes stream at each
-//! other is the counter-example (serially, each train sees the other's
-//! deliveries only after it finishes).
+//! timelines therefore agree whenever the flows are independent — each
+//! receiving node hears from one sender and sends nothing itself — and
+//! not otherwise: a 2-node exchange, fan-in (two senders, one receiver)
+//! and chains (a receiver that also sends) all diverge (see `DESIGN.md`
+//! §6b).
 //!
 //! A [`Lane`] is a node plus the receive-side state ([`RxState`]) that
 //! must live wherever deliveries to that node are applied; [`LaneMap`]
@@ -221,7 +222,7 @@ impl Default for RxState {
 
 /// One node plus its receive-side state: the unit of ownership both
 /// engine instantiations shard (the serial driver owns every lane; a
-/// parallel shard owns every `threads`-th).
+/// parallel shard owns one contiguous block of lanes).
 #[derive(Debug)]
 pub(crate) struct Lane {
     pub node: ShrimpNode,

@@ -56,7 +56,7 @@ use shrimp_os::Pid;
 use shrimp_sim::{ExchangeGrid, FlightRecorder, Histogram, SimTime, SpinBarrier, TimeFrontier};
 
 use crate::engine::{DeliveryCore, Executor, Lane, LaneMap, TrainHost};
-use crate::program::{NullProgram, ProgramPlan, StreamProgram, TrafficProgram};
+use crate::program::{ProgramPlan, TrafficProgram};
 use crate::{Multicomputer, ShrimpError, ShrimpNode};
 
 /// Sends a node executes per epoch. Fixed (never derived from the thread
@@ -223,8 +223,8 @@ fn lap(clock: Option<fn() -> u64>, mark: &mut u64, hist: &mut Histogram) {
 
 /// One user-level DMA send in a [`NodePlan`]: the arguments of
 /// [`Multicomputer::send`] minus the node index. `PartialEq` lets the
-/// engine spot message trains — maximal runs of identical consecutive
-/// ops — which are the burst-replay candidates.
+/// engine fold repeated consecutive ops into one message train,
+/// `(op, count)`, the unit it hands to the burst-replaying executor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SendOp {
     /// Sending process.
@@ -270,45 +270,85 @@ pub struct ParallelReport {
 /// by the sending NIC — a run's first member for [`Staged::Run`]).
 type Flit = (SimTime, u64, Staged);
 
-/// A node owned by a shard: its [`Lane`] (node + receive-side state),
-/// this run's emitted-so-far send list, and the traffic program that
-/// grows it (absent for nodes that only receive).
-struct ShardNode {
-    /// Global node index.
-    index: usize,
-    lane: Lane,
-    /// Sends emitted so far: the whole plan up front for a stream, a
-    /// growing log for a reactive program (`next` walks it; emitted ops
-    /// are never revisited, so the log doubles as the run's op history).
-    ops: Vec<SendOp>,
+/// One node's sends as message trains: `(op, messages left)` in send
+/// order, plus the index of the first unfinished train. Trains before
+/// `next` are finished; every train from `next` on has messages left.
+#[derive(Clone, Debug, Default)]
+struct Trains {
+    list: Vec<(SendOp, u64)>,
     next: usize,
-    /// The node's traffic program, if any (stepped at epoch boundaries
-    /// at which deliveries arrived).
-    program: Option<Box<dyn TrafficProgram>>,
-    /// A kernel trap finished this node's traffic for the run: its
-    /// program is no longer stepped, its remaining ops are dropped.
-    failed: bool,
 }
 
-impl ShardNode {
-    /// No ops left to execute *right now* — the node cannot advance its
-    /// own clock, so it is excluded from the published bound. A reactive
+impl Trains {
+    /// The encoder: appends `ops`, extending the last train while it is
+    /// unfinished and the op repeats, otherwise starting a new train.
+    /// Once every train is finished the list starts over, so a reactive
+    /// node's list keeps its capacity.
+    fn encode_ops(&mut self, ops: &[SendOp]) {
+        if self.exhausted() {
+            self.clear();
+        }
+        for &op in ops {
+            // After the reset above the last train is unfinished.
+            match self.list.last_mut() {
+                Some((last, left)) if *last == op => *left += 1,
+                _ => self.list.push((op, 1)),
+            }
+        }
+    }
+
+    /// No messages left *right now*: the node cannot advance its own
+    /// clock, so it is excluded from the published bound. A reactive
     /// program may still revive it (deliveries wake it at the next epoch
     /// boundary).
     fn exhausted(&self) -> bool {
-        self.next >= self.ops.len()
+        self.next == self.list.len()
     }
+
+    /// Messages left over every unfinished train.
+    fn messages(&self) -> usize {
+        self.list[self.next..].iter().map(|&(_, left)| left as usize).sum()
+    }
+
+    /// Books `sent` messages of the current train.
+    fn advance(&mut self, sent: u64) {
+        let left = &mut self.list[self.next].1;
+        *left -= sent;
+        if *left == 0 {
+            self.next += 1;
+        }
+    }
+
+    /// Drops every train, finished or not.
+    fn clear(&mut self) {
+        self.list.clear();
+        self.next = 0;
+    }
+}
+
+/// A node owned by a shard: its [`Lane`] (node + receive-side state),
+/// its unfinished trains, and the traffic program that feeds them,
+/// borrowed for the run (absent for static plans, for nodes that only
+/// receive, and once a trap has ended the node's traffic).
+struct ShardNode<'p> {
+    /// Global node index.
+    index: usize,
+    lane: Lane,
+    trains: Trains,
+    /// The node's traffic program, stepped at epoch boundaries at which
+    /// deliveries arrived.
+    program: Option<&'p mut dyn TrafficProgram>,
 }
 
 /// How a shard finds the [`Lane`] for a global node index: its block's
 /// nodes sit at local slots [`ShardMap::slot`].
-struct Block<'a> {
-    nodes: &'a mut [ShardNode],
+struct Block<'a, 'p> {
+    nodes: &'a mut [ShardNode<'p>],
     map: &'a ShardMap,
     id: usize,
 }
 
-impl LaneMap for Block<'_> {
+impl LaneMap for Block<'_, '_> {
     fn lane_mut(&mut self, node: usize) -> &mut Lane {
         debug_assert_eq!(self.map.owner(node), self.id, "packet routed to the wrong shard");
         &mut self.nodes[self.map.slot(node)].lane
@@ -356,13 +396,13 @@ impl TrainHost for ShardHost<'_> {
 /// One worker's slice of the machine: its nodes, its slice of the fabric
 /// (with the deterministic staged queue for traffic addressed to it), and
 /// its instances of the shared sender executor and delivery core.
-struct Shard {
+struct Shard<'p> {
     id: usize,
     /// This shard's copy of the run's node ownership.
     map: ShardMap,
     /// The block of nodes [`ShardMap::block`] gives this shard, in node
     /// order.
-    nodes: Vec<ShardNode>,
+    nodes: Vec<ShardNode<'p>>,
     fabric: Fabric,
     /// The receive-side delivery implementation — the same code the
     /// serial driver runs, bounded here by the epoch horizon.
@@ -376,6 +416,9 @@ struct Shard {
     staging: Vec<Vec<Flit>>,
     /// Scratch: mailbox drain target.
     incoming: Vec<Flit>,
+    /// Scratch: what a program step emits, before it is encoded into
+    /// trains.
+    scratch: Vec<SendOp>,
     /// This shard's clone of the global windows-per-crossing schedule.
     schedule: WindowSchedule,
     /// Whether any program in the run (on *any* shard) is reactive: the
@@ -393,11 +436,12 @@ struct Shard {
     phases: PhaseBreakdown,
     epochs: u64,
     /// Trapped nodes: `(global index, error)`. A trap finishes that
-    /// node's plan; the run keeps going and reports the error at the end.
+    /// node's traffic; the run keeps going and reports the error at the
+    /// end.
     errors: Vec<(usize, ShrimpError)>,
 }
 
-impl Shard {
+impl Shard<'_> {
     fn run(&mut self, barrier: &SpinBarrier, frontier: &TimeFrontier, grid: &ExchangeGrid<Flit>) {
         let clock = self.clock;
         let mut mark = clock.map_or(0, |c| c());
@@ -451,38 +495,37 @@ impl Shard {
         }
     }
 
-    /// Steps every reactive-era program whose node received deliveries
-    /// last epoch (the inbox its lane collected in commit order), letting
-    /// it append reply sends for this epoch's execute sweep. Programs
-    /// are delivery-driven after their initial step — a node with an
-    /// empty inbox stays dormant, exactly as the bound it was excluded
-    /// from assumed. A trap in a step finishes the node's traffic like a
-    /// mid-plan kernel trap.
+    /// Steps every program whose node received deliveries last epoch
+    /// (the inbox its lane collected in commit order) and encodes the
+    /// reply sends it emits into the node's trains for this epoch's
+    /// execute sweep. Programs are delivery-driven after their initial
+    /// step — a node with an empty inbox stays dormant, exactly as the
+    /// bound it was excluded from assumed. A trap in a step ends the
+    /// node's traffic like a mid-plan kernel trap.
     // lint:hot_path
     fn pump_programs(&mut self) {
-        for ni in 0..self.nodes.len() {
-            let sn = &mut self.nodes[ni];
-            if sn.lane.inbox.is_empty() {
-                continue;
-            }
-            let Some(program) = sn.program.as_mut() else {
-                sn.lane.inbox.clear();
-                continue;
-            };
-            if sn.failed || program.finished() {
-                sn.lane.inbox.clear();
-                continue;
-            }
+        for sn in &mut self.nodes {
             let Lane { node, inbox, .. } = &mut sn.lane;
-            let result = program.step(node, inbox, &mut sn.ops);
-            inbox.clear();
-            if let Err(trap) = result {
-                // lint:allow(A1) -- a trap is terminal for the node's
-                // traffic: the cold error path, never the steady state.
-                self.errors.push((sn.index, trap.into()));
-                sn.failed = true;
-                sn.next = sn.ops.len();
+            if inbox.is_empty() {
+                continue;
             }
+            if let Some(program) = sn.program.as_deref_mut().filter(|p| !p.finished()) {
+                match program.step(node, inbox, &mut self.scratch) {
+                    // lint:allow(A1) -- scratch and train list keep their
+                    // capacity across steps (the encoder restarts a drained
+                    // list in place): steady-state replies never reallocate.
+                    Ok(()) => sn.trains.encode_ops(&self.scratch),
+                    Err(trap) => {
+                        // lint:allow(A1) -- a trap is terminal for the node's
+                        // traffic: the cold error path, never the steady state.
+                        self.errors.push((sn.index, trap.into()));
+                        sn.program = None;
+                        sn.trains.clear();
+                    }
+                }
+                self.scratch.clear();
+            }
+            inbox.clear();
         }
     }
 
@@ -500,7 +543,7 @@ impl Shard {
         let mut bound = self
             .nodes
             .iter()
-            .filter(|n| !n.exhausted())
+            .filter(|n| !n.trains.exhausted())
             .map(|n| n.lane.node.os().machine().now())
             .min();
         if self.reactive {
@@ -514,22 +557,22 @@ impl Shard {
     }
 
     /// Runs up to `span` sends of node `ni` (the crossing's
-    /// `K ·` [`CHUNK`] window), staging its packets. Each maximal run of
-    /// identical consecutive ops is one train for the shared executor,
-    /// which may calibrate and replay it. Trains never cross the window,
-    /// so epoch boundaries — and hence the timeline — are the same
-    /// whether or not batching engages.
+    /// `K ·` [`CHUNK`] window), staging its packets. Each train goes to
+    /// the shared executor, which may calibrate and replay it; a train
+    /// that crosses the window edge is clipped there and resumes next
+    /// crossing. Windows count messages, not trains, so epoch boundaries
+    /// — and hence the timeline — are the same whether or not batching
+    /// engages.
     // lint:hot_path
     fn execute_chunk(&mut self, ni: usize, span: usize) {
         let tracing = self.core.tracing();
         let sn = &mut self.nodes[ni];
-        let end = (sn.next + span).min(sn.ops.len());
-        while sn.next < end {
-            let op = sn.ops[sn.next];
-            let mut runlen = 1;
-            while sn.next + runlen < end && sn.ops[sn.next + runlen] == op {
-                runlen += 1;
-            }
+        let mut budget = span as u64;
+        while budget > 0 {
+            let Some(&(op, left)) = sn.trains.list.get(sn.trains.next) else {
+                return;
+            };
+            let count = left.min(budget);
             let mut host = ShardHost {
                 lane: &mut sn.lane,
                 fabric: &mut self.fabric,
@@ -539,14 +582,16 @@ impl Shard {
                 reactive: self.reactive,
                 tracing,
             };
-            if let Err(trap) = self.tx.train(&mut host, &op, runlen as u64) {
+            if let Err(trap) = self.tx.train(&mut host, &op, count) {
                 // lint:allow(A1) -- a trap is terminal for the node's
-                // plan: the cold error path, never the steady state.
+                // traffic: the cold error path, never the steady state.
                 self.errors.push((sn.index, trap.into()));
-                sn.next = sn.ops.len();
+                sn.program = None;
+                sn.trains.clear();
                 return;
             }
-            sn.next += runlen;
+            sn.trains.advance(count);
+            budget -= count;
         }
     }
 }
@@ -577,37 +622,30 @@ impl Multicomputer {
         plans: &[NodePlan],
         threads: usize,
     ) -> Result<ParallelReport, ShrimpError> {
-        let n = self.lanes.len();
-        let mut ops: Vec<Vec<SendOp>> = vec![Vec::new(); n];
+        // One read pass encodes the borrowed plans into trains; no
+        // message is copied.
+        let mut trains = vec![Trains::default(); self.lanes.len()];
         for plan in plans {
             self.check_node(plan.node)?;
-            ops[plan.node].extend_from_slice(&plan.ops);
+            trains[plan.node].encode_ops(&plan.ops);
         }
-        // The legacy path is literally the trivial program: each node's
-        // concatenated plan becomes a stream that emits everything on
-        // its initial step and reacts to nothing.
-        let mut programs: Vec<ProgramPlan> = ops
-            .into_iter()
-            .enumerate()
-            .filter(|(_, ops)| !ops.is_empty())
-            .map(|(node, ops)| ProgramPlan { node, program: Box::new(StreamProgram::new(ops)) })
-            .collect();
-        self.run_programs(&mut programs, threads)
+        self.run_until_quiet();
+        let programs = trains.iter().map(|_| None).collect();
+        self.run_sharded(trains, programs, false, Vec::new(), threads)
     }
 
     /// Runs reactive traffic programs to completion across `threads`
     /// worker threads — the program-driven generalization of
-    /// [`Multicomputer::run`] (which is now a wrapper emitting each plan
-    /// as a trivial [`StreamProgram`]).
+    /// [`Multicomputer::run`].
     ///
     /// Each program is stepped once up front (empty inbox) to emit its
     /// opening sends, then re-stepped at every epoch boundary at which
     /// its node received deliveries, with those deliveries surfaced in
     /// commit order. Reply injection is therefore a pure function of the
     /// simulated timeline, and the timeline, `state_digest` and trace
-    /// bytes are bit-identical at any thread count. On return every
-    /// program is handed back in its final state (for latency histograms
-    /// and the like); at most one program per node.
+    /// bytes are bit-identical at any thread count. The programs are
+    /// borrowed for the run and keep their final state (for latency
+    /// histograms and the like); at most one program per node.
     ///
     /// # Panics
     ///
@@ -630,40 +668,60 @@ impl Multicomputer {
         }
         self.run_until_quiet();
         let reactive = programs.iter().any(|pp| pp.program.reactive());
-
-        // Take ownership of the programs (a placeholder keeps each
-        // `ProgramPlan` intact) and run every initial step against an
-        // empty inbox while the machine is still assembled: opening
-        // emissions seed the schedule exactly as plan depths would.
-        let mut ops: Vec<Vec<SendOp>> = vec![Vec::new(); n];
-        let mut progs: Vec<Option<Box<dyn TrafficProgram>>> = (0..n).map(|_| None).collect();
-        let mut plan_slot: Vec<Option<usize>> = vec![None; n];
-        let mut init_errors: Vec<(usize, ShrimpError)> = Vec::new();
-        let mut deepest = 0;
-        for (slot, pp) in programs.iter_mut().enumerate() {
+        let mut progs: Vec<Option<&mut dyn TrafficProgram>> = (0..n).map(|_| None).collect();
+        for pp in programs.iter_mut() {
             let node = pp.node;
-            assert!(plan_slot[node].is_none(), "node {node} has more than one traffic program");
-            plan_slot[node] = Some(slot);
-            let program =
-                progs[node].insert(std::mem::replace(&mut pp.program, Box::new(NullProgram)));
-            let hint = program.planned_hint();
+            let taken = progs[node].replace(&mut *pp.program);
+            assert!(taken.is_none(), "node {node} has more than one traffic program");
+        }
+        // Every initial step runs against an empty inbox while the
+        // machine is still assembled: opening emissions seed the
+        // schedule exactly as plan depths would.
+        let mut trains = vec![Trains::default(); n];
+        let mut errors = Vec::new();
+        let mut scratch = Vec::new();
+        for (node, slot) in progs.iter_mut().enumerate() {
+            let Some(program) = slot else { continue };
             let lane = &mut self.lanes[node];
-            match program.step(&mut lane.node, &[], &mut ops[node]) {
-                Ok(()) => deepest = deepest.max(ops[node].len() + hint),
-                Err(trap) => {
-                    init_errors.push((node, trap.into()));
-                    ops[node].clear();
-                }
-            }
             if reactive {
                 lane.collect = true;
                 lane.inbox.reserve(2 * CHUNK);
             }
+            match program.step(&mut lane.node, &[], &mut scratch) {
+                Ok(()) => trains[node].encode_ops(&scratch),
+                Err(trap) => {
+                    errors.push((node, trap.into()));
+                    *slot = None;
+                }
+            }
+            scratch.clear();
         }
+        self.run_sharded(trains, progs, reactive, errors, threads)
+    }
+
+    /// Disassembles the machine into shards, runs the epoch loop until
+    /// every node's trains and programs are drained, and reassembles.
+    /// `trains` and `programs` hold one entry per node; `errors` carries
+    /// traps from the initial program steps.
+    fn run_sharded(
+        &mut self,
+        trains: Vec<Trains>,
+        programs: Vec<Option<&mut dyn TrafficProgram>>,
+        reactive: bool,
+        mut errors: Vec<(usize, ShrimpError)>,
+        threads: usize,
+    ) -> Result<ParallelReport, ShrimpError> {
+        let n = self.lanes.len();
         let threads = threads.clamp(1, n);
         // The windows-per-crossing schedule is fixed by the initial
-        // emissions before the machine disassembles; every shard gets a
+        // trains before the machine disassembles; every shard gets a
         // clone.
+        let deepest = trains
+            .iter()
+            .zip(&programs)
+            .map(|(t, p)| t.messages() + p.as_ref().map_or(0, |p| p.planned_hint()))
+            .max()
+            .unwrap_or(0);
         let schedule = WindowSchedule::new(deepest, self.epoch_windows);
 
         // Disassemble: lanes (nodes + receive-side state) move to the
@@ -696,6 +754,7 @@ impl Multicomputer {
                 tx: Executor::new(self.burst()),
                 staging: (0..threads).map(|_| Vec::with_capacity(CHUNK * per_shard)).collect(),
                 incoming: Vec::with_capacity(CHUNK * n),
+                scratch: Vec::new(),
                 schedule: schedule.clone(),
                 clock: self.phase_clock,
                 phases: PhaseBreakdown::default(),
@@ -705,16 +764,9 @@ impl Multicomputer {
                 posted_min: None,
             })
             .collect();
-        for (index, lane) in std::mem::take(&mut self.lanes).into_iter().enumerate() {
-            let failed = init_errors.iter().any(|&(node, _)| node == index);
-            shards[map.owner(index)].nodes.push(ShardNode {
-                index,
-                lane,
-                ops: std::mem::take(&mut ops[index]),
-                next: 0,
-                program: progs[index].take(),
-                failed,
-            });
+        let work = std::mem::take(&mut self.lanes).into_iter().zip(trains).zip(programs);
+        for (index, ((lane, trains), program)) in work.enumerate() {
+            shards[map.owner(index)].nodes.push(ShardNode { index, lane, trains, program });
         }
 
         let barrier = SpinBarrier::new(threads);
@@ -744,12 +796,12 @@ impl Multicomputer {
         }
         debug_assert!(grid.is_empty(), "all exchanged packets must be committed");
 
-        // Reassemble.
+        // Reassemble. Blocks are contiguous and in shard order, so the
+        // lanes come back in node order.
         let mut report = ParallelReport::default();
-        let mut slots: Vec<Option<Lane>> = (0..n).map(|_| None).collect();
         let mut fabric_shards = Vec::with_capacity(threads);
         let mut recorders = Vec::with_capacity(threads);
-        let mut first_error: Option<(usize, ShrimpError)> = None;
+        self.lanes.reserve_exact(n);
         self.phases = PhaseBreakdown::default();
         for shard in shards {
             self.phases.merge_from(&shard.phases);
@@ -761,29 +813,14 @@ impl Multicomputer {
             self.core.delivered += shard.core.delivered;
             self.core.runs_committed += shard.core.runs_committed;
             self.core.run_splits += shard.core.run_splits;
-            for (index, error) in shard.errors {
-                if first_error.is_none_or(|(lowest, _)| index < lowest) {
-                    first_error = Some((index, error));
-                }
-            }
-            for sn in shard.nodes {
-                if let Some(program) = sn.program {
-                    let slot = plan_slot[sn.index].expect("program nodes have a plan slot");
-                    programs[slot].program = program;
-                }
-                slots[sn.index] = Some(sn.lane);
+            errors.extend(shard.errors);
+            for mut sn in shard.nodes {
+                debug_assert_eq!(sn.index, self.lanes.len(), "lanes return in node order");
+                sn.lane.collect = false;
+                sn.lane.inbox.clear();
+                self.lanes.push(sn.lane);
             }
             fabric_shards.push(shard.fabric);
-        }
-        self.lanes = slots.into_iter().map(|s| s.expect("every node comes back")).collect();
-        for lane in &mut self.lanes {
-            lane.collect = false;
-            lane.inbox.clear();
-        }
-        for (index, error) in init_errors {
-            if first_error.is_none_or(|(lowest, _)| index < lowest) {
-                first_error = Some((index, error));
-            }
         }
         self.fabric.merge(fabric_shards, map.owners());
         // Deterministic trace merge: spans re-sort into the same
@@ -791,7 +828,9 @@ impl Multicomputer {
         // the merged recorder is bit-identical at any thread count.
         self.core.recorder.absorb(recorders);
         self.last_epochs = report.epochs;
-        match first_error {
+        // A node traps at most once (a trap ends its traffic), and the
+        // lowest-indexed node's trap is the one reported.
+        match errors.into_iter().min_by_key(|&(index, _)| index) {
             Some((_, error)) => Err(error),
             None => Ok(report),
         }
@@ -801,6 +840,7 @@ impl Multicomputer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::StreamProgram;
     use crate::MulticomputerConfig;
     use shrimp_os::Trap;
 
@@ -1013,8 +1053,9 @@ mod tests {
 
     #[test]
     fn programs_reproduce_the_plan_timeline() {
-        // A `StreamProgram` per node must be byte-for-byte the plan path
-        // (it IS the plan path now, but pin it from the public API too).
+        // A `StreamProgram` per node must be byte-for-byte the plan path:
+        // plans and programs reach the train encoder from different
+        // callers.
         let (mut a, plans) = paired_stream(4, 10, 256);
         let (mut b, _) = paired_stream(4, 10, 256);
         let ra = a.run(&plans, 2).unwrap();

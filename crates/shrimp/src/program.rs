@@ -6,9 +6,16 @@
 //! messages delivered to its node and the node's local clock, emits the
 //! next [`SendOp`]s. That is enough to express open- and closed-loop RPC
 //! clients, servers that reply to requests, multi-tenant muxes that
-//! context-switch between processes — and the old static streams, which
-//! become the trivial [`StreamProgram`] (all of its sends on the first
-//! step, nothing after), keeping every golden digest valid.
+//! context-switch between processes — and static streams, the trivial
+//! [`StreamProgram`] (all of its sends on the first step, nothing after).
+//!
+//! Plans and program emissions meet in the engine's one train encoder:
+//! [`Multicomputer::run`](crate::Multicomputer::run) encodes the borrowed
+//! plans in one read pass, and
+//! [`Multicomputer::run_programs`](crate::Multicomputer::run_programs)
+//! encodes every step's emission, folding repeated consecutive ops into
+//! `(op, count)` message trains. The engine borrows each program for the
+//! run.
 //!
 //! # Determinism rules
 //!
@@ -117,15 +124,15 @@ pub trait TrafficProgram: Send {
 pub struct ProgramPlan {
     /// Which node runs the program.
     pub node: usize,
-    /// The traffic program. The engine borrows it for the run and hands
-    /// it back (stepped to its final state) when the run returns.
+    /// The traffic program. The engine borrows it for the run; when the
+    /// run returns it holds its final state.
     pub program: Box<dyn TrafficProgram>,
 }
 
 /// The trivial program: a static send list, emitted whole on the initial
-/// step. [`Multicomputer::run`](crate::Multicomputer::run) wraps every
-/// [`NodePlan`](crate::NodePlan) in one of these — the legacy path is
-/// literally this special case.
+/// step — a [`NodePlan`](crate::NodePlan) in program form. The engine
+/// encodes both into the same message trains, so a stream program and
+/// the plan with the same ops run one timeline.
 #[derive(Clone, Debug)]
 pub struct StreamProgram {
     ops: Vec<SendOp>,
@@ -150,52 +157,13 @@ impl TrafficProgram for StreamProgram {
         _inbox: &[DeliveryEvent],
         out: &mut Vec<SendOp>,
     ) -> Result<(), Trap> {
-        if !self.emitted {
-            if out.is_empty() {
-                // The initial step lands in a fresh buffer: hand over the
-                // storage instead of copying (the legacy `run` path then
-                // allocates nothing per node beyond the box itself).
-                std::mem::swap(out, &mut self.ops);
-            } else {
-                out.extend_from_slice(&self.ops);
-                self.ops.clear();
-            }
-            self.emitted = true;
-        }
+        out.append(&mut self.ops);
+        self.emitted = true;
         Ok(())
     }
 
     fn finished(&self) -> bool {
         self.emitted
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// The placeholder the engine swaps into a [`ProgramPlan`] while it owns
-/// the real program (and the restore target if a caller inspects a plan
-/// mid-run). Emits nothing, is always finished.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct NullProgram;
-
-impl TrafficProgram for NullProgram {
-    fn reactive(&self) -> bool {
-        false
-    }
-
-    fn step(
-        &mut self,
-        _node: &mut ShrimpNode,
-        _inbox: &[DeliveryEvent],
-        _out: &mut Vec<SendOp>,
-    ) -> Result<(), Trap> {
-        Ok(())
-    }
-
-    fn finished(&self) -> bool {
-        true
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {

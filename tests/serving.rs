@@ -5,8 +5,8 @@
 //! stream goldens: the multi-tenant serving workload's `state_digest`
 //! and exported trace bytes must be bit-identical at t=1/2/4, and a
 //! static program must be indistinguishable from the hand-unrolled
-//! `NodePlan` it replaces — the legacy path is a special case, not a
-//! parallel implementation.
+//! `NodePlan` with the same sends: plans and programs reach the engine's
+//! train encoder through different callers.
 
 use proptest::prelude::*;
 
@@ -81,12 +81,18 @@ proptest! {
 
     /// Any interleaving of request-like and reply-like static sends —
     /// four senders crossing two pairs, mixed §7 priority classes,
-    /// varying sizes — must produce the same machine whether expressed
-    /// as hand-unrolled [`NodePlan`]s or as the trivial
-    /// [`StreamProgram`]s that replaced them, at one shard and at two.
+    /// varying sizes, each op repeated 1–39 times so trains straddle the
+    /// engine's 16-send window — must produce the same machine whether
+    /// expressed as hand-unrolled [`NodePlan`]s or as
+    /// [`StreamProgram`]s, at one shard and at two. Plans and programs
+    /// reach the engine's train encoder through different callers, so
+    /// this is their cross-check: the digest, the metrics snapshot
+    /// (which counts committed runs and run splits) and the trace bytes
+    /// must all agree.
     #[test]
     fn static_programs_match_hand_unrolled_plans(
         ops_per_node in proptest::collection::vec((1usize..12, 0u64..4, 0u64..2), 4),
+        repeats in proptest::collection::vec(proptest::collection::vec(1usize..40, 11), 4),
         threads in 1usize..3,
     ) {
         let sizes = [64u64, 256, 1024, 2048];
@@ -96,28 +102,36 @@ proptest! {
                 .map(|(node, &(pid, dev_page))| NodePlan {
                     node,
                     ops: (0..ops_per_node[node].0)
-                        .map(|k| SendOp {
-                            pid,
-                            src_va: VirtAddr::new(0x10_0000),
-                            dev_page,
-                            dev_off: 0,
-                            nbytes: sizes[(ops_per_node[node].1 as usize + k) % sizes.len()],
-                            class: if (k as u64 + ops_per_node[node].2).is_multiple_of(2) {
-                                PacketClass::User
-                            } else {
-                                PacketClass::System
-                            },
+                        .flat_map(|k| {
+                            let op = SendOp {
+                                pid,
+                                src_va: VirtAddr::new(0x10_0000),
+                                dev_page,
+                                dev_off: 0,
+                                nbytes: sizes[(ops_per_node[node].1 as usize + k) % sizes.len()],
+                                class: if (k as u64 + ops_per_node[node].2).is_multiple_of(2) {
+                                    PacketClass::User
+                                } else {
+                                    PacketClass::System
+                                },
+                            };
+                            std::iter::repeat_n(op, repeats[node][k])
                         })
                         .collect(),
                 })
                 .collect()
         };
+        let observe = |mc: &Multicomputer| {
+            (mc.state_digest(), mc.metrics_snapshot().render_text(), mc.export_trace_bin())
+        };
 
         let (mut as_plans, ends) = crossed_pairs();
+        as_plans.set_tracing(true);
         let plans = build_plans(&ends);
         as_plans.run(&plans, threads).unwrap();
 
         let (mut as_programs, ends) = crossed_pairs();
+        as_programs.set_tracing(true);
         let mut programs: Vec<ProgramPlan> = build_plans(&ends)
             .into_iter()
             .map(|plan| ProgramPlan {
@@ -127,12 +141,16 @@ proptest! {
             .collect();
         as_programs.run_programs(&mut programs, threads).unwrap();
 
+        let (plan_digest, plan_metrics, plan_trace) = observe(&as_plans);
+        let (program_digest, program_metrics, program_trace) = observe(&as_programs);
         prop_assert_eq!(
-            as_plans.state_digest(),
-            as_programs.state_digest(),
+            plan_digest,
+            program_digest,
             "hand-unrolled plans and stream programs must be one timeline (t={})",
             threads
         );
+        prop_assert_eq!(plan_metrics, program_metrics, "metrics snapshot (t={})", threads);
+        prop_assert!(plan_trace == program_trace, "trace bytes (t={})", threads);
     }
 }
 
